@@ -24,6 +24,9 @@ JUDGMENT_INACCURACY = "inaccuracy"
 JUDGMENT_MISTAKE = "mistake"
 JUDGMENT_BLUNDER = "blunder"
 
+# The engine settings the paper fixes for scoring.
+ANALYSIS_OPTIONS = (("Threads", 1), ("Hash", 128), ("MultiPV", 1), ("Skill Level", 20))
+
 BLUNDER_DELTA = 30.0
 MISTAKE_DELTA = 20.0
 INACCURACY_DELTA = 10.0
@@ -35,23 +38,9 @@ class AnalysisEngineConfig:
 
     command: tuple
     depth: int = 20
-    threads: int = 1
-    hash_mb: int = 128
-    multipv: int = 1
-    skill: int = 20
-    skill_option: str = "Skill Level"
 
     def spawn(self) -> UciEngine:
-        engine = UciEngine(
-            self.command,
-            options=[
-                ("Threads", self.threads),
-                ("Hash", self.hash_mb),
-                ("MultiPV", self.multipv),
-                (self.skill_option, self.skill),
-            ],
-        )
-        return engine.start()
+        return UciEngine(self.command, options=ANALYSIS_OPTIONS).start()
 
 
 def normalize_score(kind: str, value: int) -> int:

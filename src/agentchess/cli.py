@@ -317,8 +317,7 @@ def cmd_elo(args) -> int:
                     overrides[int(skill_text)] = float(rating_text)
                 except ValueError:
                     raise ConfigError(f"bad --anchor {pair!r}, expected SKILL=ELO") from None
-            skills = {r.config["white"].get("skill") for r in records}
-            skills |= set(overrides)
+            skills = {elo.opponent_skill(r) for r in records} | set(overrides)
             skills.discard(None)
             skill_map = elo.build_skill_map(sorted(skills), overrides)
         try:
@@ -362,6 +361,10 @@ def cmd_report(args) -> int:
     if not entries:
         raise ConfigError("no games found in the given logs")
     stats_by_model = reporting.aggregate_entries(entries)
+    for model in sorted({e["model_id"] for e in entries} - stats_by_model.keys()):
+        print(f"model={model}: no scorable games, left out of the leaderboard", file=sys.stderr)
+    if not stats_by_model:
+        raise ConfigError("no scorable games in the given logs")
     csv_text = reporting.emit_leaderboard(stats_by_model, "csv")
     md_text = reporting.emit_leaderboard(stats_by_model, "markdown")
     os.makedirs(args.out, exist_ok=True)

@@ -131,6 +131,12 @@ def build_skill_map(levels, ratings=None) -> dict:
     return mapping
 
 
+def opponent_skill(record):
+    """Skill level of the subject's engine opponent; None for other opponents."""
+    opponent = record.config["white" if record.subject_color == "b" else "black"]
+    return opponent.get("skill") if opponent.get("kind") == "engine" else None
+
+
 def outcomes_from_records(records, skill_map=None) -> list:
     """Scoreable records against engine opponents, as rated outcomes.
 
@@ -143,9 +149,7 @@ def outcomes_from_records(records, skill_map=None) -> list:
     for record in records:
         if record.excluded:
             continue
-        opponent_color = "w" if record.subject_color == "b" else "b"
-        opponent = record.config["white" if opponent_color == "w" else "black"]
-        skill = opponent.get("skill") if opponent.get("kind") == "engine" else None
+        skill = opponent_skill(record)
         if skill is None:
             raise ValueError(
                 "record lacks engine-skill metadata; Elo needs rated engine opponents"

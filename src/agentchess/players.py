@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import re
 import subprocess
-import threading
 from dataclasses import dataclass
 
 import requests
@@ -63,40 +62,12 @@ class LLMEndpointConfig:
     timeout_s: float = 600.0
     max_retries: int = 0
     api_key_env: str = "AGENTCHESS_API_KEY"
-    max_concurrent: int | None = None  # in-flight request ceiling per endpoint
 
     def __post_init__(self):
         if self.temperature is not None and self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_concurrent is not None and self.max_concurrent < 1:
-            raise ValueError("max_concurrent must be at least 1")
-
-
-# One semaphore per rate-limited endpoint, shared by every game's client.
-_ENDPOINT_GATES: dict = {}
-_GATES_LOCK = threading.Lock()
-
-
-class _NullGate:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-def _endpoint_gate(cfg: "LLMEndpointConfig"):
-    if cfg.max_concurrent is None:
-        return _NullGate()
-    key = (cfg.base_url, cfg.model, cfg.max_concurrent)
-    with _GATES_LOCK:
-        gate = _ENDPOINT_GATES.get(key)
-        if gate is None:
-            gate = threading.Semaphore(cfg.max_concurrent)
-            _ENDPOINT_GATES[key] = gate
-    return gate
 
 
 _THINK_BLOCK = re.compile(r"<think(?:ing)?>.*?</think(?:ing)?>", re.DOTALL)
@@ -139,10 +110,7 @@ def llm_reply(messages, cfg: LLMEndpointConfig, usage_log: list | None = None) -
     last_error: ModelError | None = None
     for _ in range(cfg.max_retries + 1):
         try:
-            with _endpoint_gate(cfg):
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=cfg.timeout_s
-                )
+            response = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
         except requests.Timeout as exc:
             raise ModelError("timeout", str(exc)) from exc
         except requests.RequestException as exc:
@@ -176,8 +144,6 @@ class MoAConfig:
 
     proposers: tuple
     synthesizer: LLMEndpointConfig
-    synthesizer_prompt: str = prompts.MOA_SYNTHESIZER_PROMPT
-    candidate_label: str = "Model {index}:"
 
 
 def moa_reply(messages, cfg: MoAConfig, reply_fn=llm_reply) -> str:
@@ -191,14 +157,13 @@ def moa_reply(messages, cfg: MoAConfig, reply_fn=llm_reply) -> str:
         raise ValueError("MoA needs at least one proposer")
     blocks = []
     for index, proposer in enumerate(cfg.proposers, start=1):
-        label = cfg.candidate_label.format(index=index)
         try:
             candidate = reply_fn(list(messages), proposer)
         except ModelError:
             candidate = "[no response]"
-        blocks.append(f"{label}\n{candidate}")
+        blocks.append(f"Model {index}:\n{candidate}")
     synth_messages = [
-        {"role": "system", "content": cfg.synthesizer_prompt},
+        {"role": "system", "content": prompts.MOA_SYNTHESIZER_PROMPT},
         *[dict(m) for m in messages],
         {"role": "user", "content": "\n\n".join(blocks)},
     ]
@@ -223,13 +188,6 @@ class EngineConfig:
     skill_option: str = "Skill"
     movetime_ms: int | None = 1000
     depth: int | None = None
-    options: tuple = ()  # extra (name, value) pairs
-
-    def uci_options(self) -> list:
-        pairs = list(self.options)
-        if self.skill is not None:
-            pairs.insert(0, (self.skill_option, self.skill))
-        return pairs
 
 
 class UciEngine:
@@ -353,8 +311,6 @@ class UciEngine:
             self._proc.kill()
         self._proc = None
 
-    close = quit
-
     def __enter__(self) -> "UciEngine":
         return self
 
@@ -365,7 +321,7 @@ class UciEngine:
 def spawn_engine(config: EngineConfig) -> UciEngine:
     engine = UciEngine(
         config.command,
-        options=config.uci_options(),
+        options=[] if config.skill is None else [(config.skill_option, config.skill)],
         movetime_ms=config.movetime_ms,
         depth=config.depth,
     )

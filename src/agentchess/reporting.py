@@ -31,16 +31,13 @@ LEADERBOARD_COLUMNS = (
 )
 
 
-def record_to_entry(record, model_id: str, extra: dict | None = None) -> dict:
+def record_to_entry(record, model_id: str) -> dict:
     """Wrap a game record as a versioned, self-contained log entry."""
-    entry = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "model_id": model_id,
         "record": record.to_dict(),
     }
-    if extra:
-        entry.update(extra)
-    return entry
 
 
 def entry_to_record(entry: dict):
@@ -170,9 +167,7 @@ def aggregate(records) -> AggregateStats:
         win_loss_percent=(0.5 * (wins - losses) / n + 0.5) * 100.0,
         wrong_actions_pct=pct(count(runner.TERM_TOO_MANY_WRONG_ACTIONS)),
         max_turns_pct=pct(count(runner.TERM_MAX_TURNS)),
-        instruction_pct=pct(
-            count(runner.TERM_TOO_MANY_WRONG_ACTIONS) + count(runner.TERM_MAX_TURNS)
-        ),
+        instruction_pct=pct(sum(1 for t in terminations if t in runner.INSTRUCTION_TERMINATIONS)),
         mate_white_pct=pct(mate_white),
         mate_black_pct=pct(mate_black),
         stalemate_pct=pct(count(runner.TERM_STALEMATE)),
@@ -193,11 +188,19 @@ def aggregate(records) -> AggregateStats:
 
 
 def aggregate_entries(entries) -> dict:
-    """Group loaded log entries by model id and aggregate each group."""
+    """Group loaded log entries by model id and aggregate each group.
+
+    Models whose games are all excluded have nothing to score and are left
+    out of the result.
+    """
     by_model: dict = {}
     for entry in entries:
         by_model.setdefault(entry["model_id"], []).append(entry_to_record(entry))
-    return {model: aggregate(records) for model, records in sorted(by_model.items())}
+    return {
+        model: aggregate(records)
+        for model, records in sorted(by_model.items())
+        if not all(r.excluded for r in records)
+    }
 
 
 # ---------------------------------------------------------------------------

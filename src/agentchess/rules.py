@@ -136,11 +136,6 @@ class PositionHistory:
     def count(self, board: Board) -> int:
         return self._counts[_position_key(board)]
 
-    def copy(self) -> "PositionHistory":
-        dup = PositionHistory()
-        dup._counts = Counter(self._counts)
-        return dup
-
 
 def _position_key(board: Board) -> tuple:
     return (board.squares, board.turn, board.castling, board.ep_square)
@@ -615,14 +610,11 @@ def render_fen(board: Board) -> str:
         if empties:
             text += str(empties)
         rank_texts.append(text)
-    ep_square = board.ep_square
-    if ep_square is not None and not _has_legal_ep_capture(board.squares, board.turn, ep_square):
-        ep_square = None
     return " ".join([
         "/".join(rank_texts),
         board.turn,
         board.castling or "-",
-        square_name(ep_square) if ep_square is not None else "-",
+        square_name(board.ep_square) if board.ep_square is not None else "-",
         str(board.halfmove_clock),
         str(board.fullmove_number),
     ])

@@ -1,20 +1,23 @@
 """Full-game orchestration: alternate plys, enforce caps, classify endings.
 
-A game couples two player specs (factories, so runs can share a template),
-a dialog configuration, and one seed. The measured subject is the dialog
-player when there is one, otherwise the configured subject color (black by
-default, matching the usual harness setup). Every way a game can end maps
-to exactly one termination reason, and every reason maps to win, draw or
-loss for the subject.
+A game couples two player specs (shared by every game of a run; each game
+gets fresh players from them), a dialog configuration, and one seed. The
+measured subject is the dialog player when there is one, otherwise the
+configured subject color (black by default, matching the usual harness
+setup). Every way a game can end maps to exactly one termination reason,
+and every reason maps to win, draw or loss for the subject.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -78,39 +81,30 @@ def score_for_termination(termination: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Player specs. A spec is a small factory: build() returns a fresh player
-# owning its own resources, so games never share engine sessions or scripts.
-# Dialog players expose reply(messages); movers expose choose_move(board, rng).
+# Player specs. A spec is frozen and shared by every game of a cell; play()
+# owns one game's resources (an engine session, a place in a script) and
+# yields that game's function: reply(messages) for dialog players,
+# choose_move(board, rng) for movers. Only dialog players, which are always
+# the measured subject, append token usage to `usage`.
 
 
-class _RandomPlayer:
-    def choose_move(self, board, rng):
-        return random_move(board, rng)
-
-    def close(self):
-        pass
+def _next_or_fail(items, reason: str, detail: str):
+    try:
+        return next(items)
+    except StopIteration:
+        raise ModelError(reason, detail) from None
 
 
 @dataclass(frozen=True)
 class RandomSpec:
     is_dialog = False
 
-    def build(self):
-        return _RandomPlayer()
+    @contextmanager
+    def play(self, usage):
+        yield random_move
 
     def describe(self):
         return {"kind": "random"}
-
-
-class _EnginePlayer:
-    def __init__(self, config: EngineConfig):
-        self._engine = spawn_engine(config)
-
-    def choose_move(self, board, rng):
-        return engine_move(board, self._engine)
-
-    def close(self):
-        self._engine.quit()
 
 
 @dataclass(frozen=True)
@@ -118,8 +112,10 @@ class EngineSpec:
     config: EngineConfig
     is_dialog = False
 
-    def build(self):
-        return _EnginePlayer(self.config)
+    @contextmanager
+    def play(self, usage):
+        with spawn_engine(self.config) as engine:
+            yield lambda board, rng: engine_move(board, engine)
 
     def describe(self):
         return {
@@ -129,25 +125,14 @@ class EngineSpec:
         }
 
 
-class _EndpointPlayer:
-    def __init__(self, config: LLMEndpointConfig):
-        self._config = config
-        self.usage = []
-
-    def reply(self, messages):
-        return llm_reply(messages, self._config, usage_log=self.usage)
-
-    def close(self):
-        pass
-
-
 @dataclass(frozen=True)
 class EndpointSpec:
     config: LLMEndpointConfig
     is_dialog = True
 
-    def build(self):
-        return _EndpointPlayer(self.config)
+    @contextmanager
+    def play(self, usage):
+        yield functools.partial(llm_reply, cfg=self.config, usage_log=usage)
 
     def describe(self):
         return {
@@ -158,25 +143,15 @@ class EndpointSpec:
         }
 
 
-class _MoAPlayer:
-    def __init__(self, config: MoAConfig):
-        self._config = config
-        self.usage = []
-
-    def reply(self, messages):
-        return moa_reply(messages, self._config)
-
-    def close(self):
-        pass
-
-
 @dataclass(frozen=True)
 class MoASpec:
     config: MoAConfig
     is_dialog = True
 
-    def build(self):
-        return _MoAPlayer(self.config)
+    @contextmanager
+    def play(self, usage):
+        reply_fn = functools.partial(llm_reply, usage_log=usage)
+        yield lambda messages: moa_reply(messages, self.config, reply_fn)
 
     def describe(self):
         return {
@@ -184,25 +159,6 @@ class MoASpec:
             "proposers": [p.model for p in self.config.proposers],
             "synthesizer": self.config.synthesizer.model,
         }
-
-
-class _ScriptedDialog:
-    def __init__(self, replies, cycle):
-        self._replies = list(replies)
-        self._cycle = cycle
-        self._at = 0
-
-    def reply(self, messages):
-        if self._at >= len(self._replies):
-            if not self._cycle:
-                raise ModelError("transport", "scripted replies exhausted")
-            self._at = 0
-        reply = self._replies[self._at]
-        self._at += 1
-        return reply
-
-    def close(self):
-        pass
 
 
 @dataclass(frozen=True)
@@ -213,27 +169,13 @@ class ScriptedDialogSpec:
     cycle: bool = True
     is_dialog = True
 
-    def build(self):
-        return _ScriptedDialog(self.replies, self.cycle)
+    @contextmanager
+    def play(self, usage):
+        replies = itertools.cycle(self.replies) if self.cycle else iter(self.replies)
+        yield lambda messages: _next_or_fail(replies, "transport", "scripted replies exhausted")
 
     def describe(self):
         return {"kind": "scripted_dialog", "replies": len(self.replies)}
-
-
-class _ScriptedMover:
-    def __init__(self, moves):
-        self._moves = list(moves)
-        self._at = 0
-
-    def choose_move(self, board, rng):
-        if self._at >= len(self._moves):
-            raise ModelError("engine", "scripted moves exhausted")
-        move = rules.Move.from_uci(self._moves[self._at])
-        self._at += 1
-        return move
-
-    def close(self):
-        pass
 
 
 @dataclass(frozen=True)
@@ -243,8 +185,12 @@ class ScriptedMoverSpec:
     moves: tuple
     is_dialog = False
 
-    def build(self):
-        return _ScriptedMover(self.moves)
+    @contextmanager
+    def play(self, usage):
+        moves = iter(self.moves)
+        yield lambda board, rng: rules.Move.from_uci(
+            _next_or_fail(moves, "engine", "scripted moves exhausted")
+        )
 
     def describe(self):
         return {"kind": "scripted_mover", "moves": list(self.moves)}
@@ -433,9 +379,8 @@ def play_game(cfg: GameConfig) -> GameRecord:
     started = time.time()
     started_at = datetime.now(timezone.utc).isoformat()
     subject_color = cfg.resolve_subject_color()
-    white = cfg.white.build()
-    black = cfg.black.build()
     rng = random.Random(cfg.seed)
+    usage: list = []
 
     board = rules.Board.initial()
     history = rules.PositionHistory()
@@ -448,50 +393,41 @@ def play_game(cfg: GameConfig) -> GameRecord:
     detail = None
     error_side = None
 
-    try:
-        while termination is None:
-            status = rules.game_status(board, history)
-            if status.kind != rules.ONGOING:
-                termination = _termination_from_status(status, subject_color)
-                break
-            if len(plies) >= cfg.limits.max_full_moves * 2:
-                termination = TERM_MAX_MOVES
-                break
-            mover_color = board.turn
-            spec = cfg.white if mover_color == rules.WHITE else cfg.black
-            player = white if mover_color == rules.WHITE else black
-            transcript = None
-            if spec.is_dialog:
-                try:
-                    transcript = dialog.run_ply(
-                        board, player.reply, cfg.limits, cfg.variant, move_history
-                    )
-                except ModelError as exc:
-                    termination = TERM_MODEL_ERROR
-                    detail = exc.reason
-                    error_side = mover_color
+    with ExitStack() as stack:
+        try:
+            mover_color = rules.WHITE  # a player that fails to start is this side's error
+            white = stack.enter_context(cfg.white.play(usage))
+            mover_color = rules.BLACK
+            black = stack.enter_context(cfg.black.play(usage))
+            while True:
+                status = rules.game_status(board, history)
+                if status.kind != rules.ONGOING:
+                    termination = _termination_from_status(status, subject_color)
                     break
-                transcripts.append(transcript)
-                if transcript.outcome != dialog.MOVE_MADE:
-                    termination = transcript.outcome
-                    failed_transcript = transcript
+                if len(plies) >= cfg.limits.max_full_moves * 2:
+                    termination = TERM_MAX_MOVES
                     break
-                move = rules.Move.from_uci(transcript.move)
-            else:
-                try:
-                    move = player.choose_move(board, rng)
-                except ModelError as exc:
-                    termination = TERM_MODEL_ERROR
-                    detail = exc.reason
-                    error_side = mover_color
-                    break
-            board = rules.apply_move(board, move)
-            history.push(board)
-            plies.append(PlyRecord(mover_color, move.uci(), rules.render_fen(board), transcript))
-            move_history.append(move.uci())
-    finally:
-        white.close()
-        black.close()
+                mover_color = board.turn
+                spec, player = (cfg.white, white) if mover_color == rules.WHITE else (cfg.black, black)
+                transcript = None
+                if spec.is_dialog:
+                    transcript = dialog.run_ply(board, player, cfg.limits, cfg.variant, move_history)
+                    transcripts.append(transcript)
+                    if transcript.outcome != dialog.MOVE_MADE:
+                        termination = transcript.outcome
+                        failed_transcript = transcript
+                        break
+                    move = rules.Move.from_uci(transcript.move)
+                else:
+                    move = player(board, rng)
+                board = rules.apply_move(board, move)
+                history.push(board)
+                plies.append(PlyRecord(mover_color, move.uci(), rules.render_fen(board), transcript))
+                move_history.append(move.uci())
+        except ModelError as exc:
+            termination = TERM_MODEL_ERROR
+            detail = exc.reason
+            error_side = mover_color
 
     stats = GameStats(subject_dialogs=len(transcripts))
     for t in transcripts:
@@ -507,9 +443,6 @@ def play_game(cfg: GameConfig) -> GameRecord:
     excluded = termination == TERM_MODEL_ERROR and (
         cfg.error_policy == EXCLUDE_MODEL_ERRORS or error_side != subject_color
     )
-
-    subject_player = white if subject_color == rules.WHITE else black
-    usage = list(getattr(subject_player, "usage", []))
 
     return GameRecord(
         config=cfg.snapshot(),

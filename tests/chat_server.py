@@ -17,16 +17,6 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        with self.server.lock:
-            self.server.active += 1
-            self.server.max_active = max(self.server.max_active, self.server.active)
-        try:
-            self._handle()
-        finally:
-            with self.server.lock:
-                self.server.active -= 1
-
-    def _handle(self):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length) or b"{}")
         self.server.requests.append(
@@ -41,9 +31,6 @@ class _Handler(BaseHTTPRequestHandler):
         if model == "sleep":
             time.sleep(1.0)
             self._reply_text("slept")
-        elif model == "nap":
-            time.sleep(0.1)
-            self._reply_text("napped")
         elif model == "http-500":
             self.send_response(500)
             self.end_headers()
@@ -100,9 +87,6 @@ def chat_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.requests = []
     server.flaky_count = 0
-    server.lock = threading.Lock()
-    server.active = 0
-    server.max_active = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -147,6 +147,19 @@ def test_run_all_games_excluded_reports_cell_without_crashing(tmp_path, capsys):
     assert all(e["record"]["excluded"] for e in entries)
 
 
+def test_run_engine_that_fails_to_start_is_logged_as_excluded(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path,
+        opponent={"kind": "engine", "command": f"{sys.executable} -c pass", "skills": [1]},
+        games=2,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    assert "no scorable games" in capsys.readouterr().out
+    records = [e["record"] for e in read_jsonl(tmp_path / "runs" / "games-skill-1.jsonl")]
+    assert [r["termination"] for r in records] == ["model_error", "model_error"]
+    assert all(r["error_side"] == "w" and r["excluded"] for r in records)
+
+
 def test_run_rejects_manifest_with_secrets(tmp_path, capsys):
     manifest = write_manifest(
         tmp_path,
@@ -287,6 +300,21 @@ def test_elo_anchor_override(tmp_path, capsys):
     assert "rating=635.0" in capsys.readouterr().out  # 1000 - 400 + 35
 
 
+def test_elo_anchor_override_white_subject(tmp_path, capsys):
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e7e5"}])
+    manifest = write_manifest(
+        tmp_path,
+        subject={"kind": "scripted", "replies": ["banana"], "name": "hopeless"},
+        opponent={"kind": "engine", "command": engine, "skills": [2]},
+        subject_color="w",
+        games=1,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    log = tmp_path / "runs" / "games-skill-2.jsonl"
+    assert main(["elo", str(log), "--anchor", "1=300"]) == 0
+    assert "rating=10.0" in capsys.readouterr().out  # default 375 for skill 2, - 400 + 35
+
+
 def test_elo_requires_exactly_one_source(tmp_path, capsys):
     assert main(["elo"]) == 2
     csv_path = tmp_path / "x.csv"
@@ -337,3 +365,33 @@ def test_report_empty_logs_error(tmp_path, capsys):
     empty.write_text("")
     assert main(["report", str(empty), "--out", str(tmp_path / "r")]) == 2
     assert "no games" in capsys.readouterr().err
+
+
+def test_report_skips_model_with_only_excluded_games(tmp_path, capsys):
+    crash = tmp_path / "crash.json"
+    crash.write_text(json.dumps({"responses": [{"bestmove": "e2e4"}], "crash_after_go": 0}))
+    runs = {
+        "crashed": {"kind": "engine", "command": f"{sys.executable} {FAKE_UCI} {crash}", "skills": [1]},
+        "scored": {"kind": "random"},
+    }
+    for name, opponent in runs.items():
+        manifest = write_manifest(
+            tmp_path,
+            subject={"kind": "scripted", "replies": ["banana"], "name": name},
+            opponent=opponent,
+            games=1,
+            out_dir=str(tmp_path / "runs" / name),
+        )
+        assert main(["run", "--config", str(manifest)]) == 0
+    crashed_log = str(tmp_path / "runs" / "crashed" / "games-skill-1.jsonl")
+    scored_log = str(tmp_path / "runs" / "scored" / "games-random.jsonl")
+    capsys.readouterr()
+    out_dir = tmp_path / "reports"
+    assert main(["report", crashed_log, scored_log, "--out", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert "model=crashed: no scorable games" in captured.err
+    csv_lines = (out_dir / "leaderboard.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in csv_lines[1:]] == ["scored"]
+
+    assert main(["report", crashed_log, "--out", str(out_dir)]) == 2
+    assert "no scorable games" in capsys.readouterr().err

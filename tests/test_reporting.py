@@ -72,7 +72,7 @@ def test_log_unknown_schema_version_skipped(tmp_path):
 
 def test_log_entry_ignores_unknown_future_fields(tmp_path):
     path = tmp_path / "games.jsonl"
-    entry = record_to_entry(make_record("max_moves"), "m", extra={"novel_field": 42})
+    entry = {**record_to_entry(make_record("max_moves"), "m"), "novel_field": 42}
     append_log(path, entry)
     loaded, _ = load_logs(path)
     record = entry_to_record(loaded[0])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -33,17 +34,12 @@ class RaisingDialogSpec:
     reason: str = "timeout"
     is_dialog = True
 
-    def build(self):
-        spec = self
+    @contextmanager
+    def play(self, usage):
+        def reply(messages):
+            raise ModelError(self.reason)
 
-        class _Player:
-            def reply(self, messages):
-                raise ModelError(spec.reason)
-
-            def close(self):
-                pass
-
-        return _Player()
+        yield reply
 
     def describe(self):
         return {"kind": "raising", "reason": self.reason}
@@ -217,32 +213,29 @@ def test_run_games_on_record_callback_fires_per_game():
 
 def test_run_games_policy_split():
     # Subject errors on game 2 of 3; the split depends on the policy.
-    class FailSecondBuild:
+    class FailSecondGame:
         is_dialog = True
 
         def __init__(self):
-            self.builds = 0
+            self.games = 0
 
-        def build(self):
-            self.builds += 1
-            fail = self.builds == 2
+        @contextmanager
+        def play(self, usage):
+            self.games += 1
+            fail = self.games == 2
 
-            class _Player:
-                def reply(self, messages, fail=fail):
-                    if fail:
-                        raise ModelError("timeout")
-                    return "get_current_board"
+            def reply(messages):
+                if fail:
+                    raise ModelError("timeout")
+                return "get_current_board"
 
-                def close(self):
-                    pass
-
-            return _Player()
+            yield reply
 
         def describe(self):
             return {"kind": "fail-second"}
 
     counted = run_games(
-        GameConfig(white=RandomSpec(), black=FailSecondBuild(),
+        GameConfig(white=RandomSpec(), black=FailSecondGame(),
                    error_policy=COUNT_MODEL_ERRORS_AS_LOSS),
         3,
     )
@@ -250,7 +243,7 @@ def test_run_games_policy_split():
     assert [r.score() for r in counted] == [0.0, 0.0, 0.0]
 
     excluded = run_games(
-        GameConfig(white=RandomSpec(), black=FailSecondBuild(),
+        GameConfig(white=RandomSpec(), black=FailSecondGame(),
                    error_policy=EXCLUDE_MODEL_ERRORS),
         3,
     )
@@ -308,6 +301,38 @@ def test_endpoint_subject_usage_recorded():
     assert len(record.usage) == 3
     assert record.usage[0] == {"prompt_tokens": 7, "completion_tokens": 3}
     assert record.to_dict()["usage"] == record.usage
+
+
+def test_moa_subject_usage_covers_every_call():
+    from agentchess.players import LLMEndpointConfig, MoAConfig
+    from agentchess.runner import MoASpec
+    from chat_server import chat_server
+
+    with chat_server() as (url, server):
+        banana = LLMEndpointConfig(url, "fixed:banana", timeout_s=10.0)
+        cfg = GameConfig(
+            white=RandomSpec(),
+            black=MoASpec(MoAConfig(proposers=(banana, banana), synthesizer=banana)),
+        )
+        record = play_game(cfg)
+    assert record.termination == "too_many_wrong_actions"
+    # Three replies, each from two proposers and the synthesizer.
+    assert len(server.requests) == 9
+    assert record.usage == [{"prompt_tokens": 7, "completion_tokens": 3}] * 9
+
+
+@pytest.mark.parametrize("policy", [COUNT_MODEL_ERRORS_AS_LOSS, EXCLUDE_MODEL_ERRORS])
+def test_engine_that_fails_to_start_is_a_recorded_model_error(policy):
+    dead = EngineSpec(EngineConfig(command=(sys.executable, "-c", "pass")))
+    records = run_games(
+        GameConfig(white=dead, black=ScriptedDialogSpec(("make_move e7e5",)), error_policy=policy),
+        2,
+    )
+    assert [r.termination for r in records] == ["model_error", "model_error"]
+    assert all(r.termination_detail == "engine" for r in records)
+    assert all(r.error_side == rules.WHITE for r in records)
+    assert all(r.excluded and r.score() is None for r in records)
+    assert all(r.ply_count == 0 for r in records)
 
 
 def test_stats_sum_over_transcripts():

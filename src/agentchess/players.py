@@ -219,18 +219,22 @@ class UciEngine:
             )
         except OSError as exc:
             raise ModelError("engine", f"cannot launch {self.command[0]}: {exc}") from exc
-        self._send("uci")
-        while True:
-            line = self._readline()
-            if line.startswith("id name "):
-                self.name = line[len("id name "):]
-            if line == "uciok":
-                break
-        for name, value in self.options:
-            self._send(f"setoption name {name} value {value}")
-        self._send("isready")
-        while self._readline() != "readyok":
-            pass
+        try:
+            self._send("uci")
+            while True:
+                line = self._readline()
+                if line.startswith("id name "):
+                    self.name = line[len("id name "):]
+                if line == "uciok":
+                    break
+            for name, value in self.options:
+                self._send(f"setoption name {name} value {value}")
+            self._send("isready")
+            while self._readline() != "readyok":
+                pass
+        except ModelError:
+            self.quit()  # reap an engine that fails its handshake
+            raise
         return self
 
     def _send(self, line: str) -> None:

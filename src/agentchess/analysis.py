@@ -11,9 +11,9 @@ Analysis runs offline over stored records, never during play.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from . import rules
+from . import reporting, rules
 from .players import UciEngine
 
 WIN_PERCENT_SLOPE = 0.00368208
@@ -169,3 +169,35 @@ def evaluate_subject_plies(record, engine, depth: int = 20) -> list:
 def analyze_game(record, engine, depth: int = 20) -> GameQualitySummary:
     """Full quality summary for one game's subject plies."""
     return summarize_evaluations(evaluate_subject_plies(record, engine, depth))
+
+
+def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
+    """Score every game of one log file, in log order, on an engine of its own.
+
+    Returns (load diagnostics, sidecar rows, {model_id: evaluations}). The
+    engine starts a new game before each game's searches, so a game's rows
+    depend only on the game. An engine fault marks the game `unanalyzed` and
+    the next game goes on; an engine that fails to start raises ModelError.
+    Prints nothing and writes no file.
+    """
+    engine = config.spawn()
+    try:
+        entries, diagnostics = reporting.load_logs(log_path)
+        rows, collected = [], {}
+        for index, entry in enumerate(entries):
+            record = reporting.entry_to_record(entry)
+            row = {"game_index": index, "model_id": entry["model_id"]}
+            try:
+                engine.new_game()
+                evaluations = evaluate_subject_plies(record, engine, config.depth)
+            except Exception as exc:  # engine fault: flag and move on
+                rows.append({**row, "unanalyzed": str(exc)})
+                continue
+            if not evaluations:
+                rows.append({**row, "unanalyzed": "no subject plies"})
+                continue
+            collected.setdefault(entry["model_id"], []).extend(evaluations)
+            rows.extend({**row, **asdict(e)} for e in evaluations)  # one row per scored ply
+    finally:
+        engine.quit()
+    return diagnostics, rows, collected

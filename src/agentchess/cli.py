@@ -14,10 +14,10 @@ import os
 import shlex
 import shutil
 import sys
-from dataclasses import asdict
+from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, dialog, elo, reporting, runner
-from .players import EngineConfig, LLMEndpointConfig, MoAConfig
+from .players import EngineConfig, LLMEndpointConfig, MoAConfig, ModelError
 
 
 class ConfigError(Exception):
@@ -234,66 +234,53 @@ def _analysis_engine(args):
     return analysis.AnalysisEngineConfig(command=command, depth=args.depth)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, so `taskset` also bounds the analysis pool."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def cmd_analyze(args) -> int:
     config = _analysis_engine(args)
-    had_rows = False
-    for log_path in args.logs:
-        entries, diagnostics = reporting.load_logs(log_path)
-        for line in diagnostics:
-            print(line, file=sys.stderr)
-        engine = config.spawn()
-        sidecar_rows = []
-        collected: dict = {}
-        try:
-            for index, entry in enumerate(entries):
-                record = reporting.entry_to_record(entry)
-                model_id = entry["model_id"]
-                try:
-                    evaluations = analysis.evaluate_subject_plies(record, engine, config.depth)
-                except Exception as exc:  # engine fault: flag and move on
-                    sidecar_rows.append({
-                        "game_index": index,
-                        "model_id": model_id,
-                        "unanalyzed": str(exc),
-                    })
-                    continue
-                if not evaluations:
-                    sidecar_rows.append({
-                        "game_index": index,
-                        "model_id": model_id,
-                        "unanalyzed": "no subject plies",
-                    })
-                    continue
-                collected.setdefault(model_id, []).extend(evaluations)
-                for evaluation in evaluations:  # one sidecar row per scored ply
-                    sidecar_rows.append({
-                        "game_index": index,
-                        "model_id": model_id,
-                        **asdict(evaluation),
-                    })
-        finally:
-            engine.quit()
+    had_rows = failed = False
+    # One engine per log file, up to one file per CPU. Results are taken in
+    # argument order, so the output is the same as a serial run's.
+    pool = ThreadPoolExecutor(max_workers=min(len(args.logs), _usable_cpus()))
+    try:
+        futures = [pool.submit(analysis.analyze_log, path, config) for path in args.logs]
+        for log_path, future in zip(args.logs, futures):
+            try:
+                diagnostics, rows, collected = future.result()
+            except (ModelError, OSError) as exc:
+                print(f"error: {log_path}: {exc}", file=sys.stderr)
+                failed = True
+                continue
+            for line in diagnostics:
+                print(line, file=sys.stderr)
+            sidecar = log_path + ".analysis.jsonl"
+            tmp = sidecar + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                for row in rows:
+                    handle.write(json.dumps(row) + "\n")
+            os.replace(tmp, sidecar)
+            print(f"wrote {len(rows)} analysis rows to {sidecar}", file=sys.stderr)
 
-        sidecar = log_path + ".analysis.jsonl"
-        tmp = sidecar + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for row in sidecar_rows:
-                handle.write(json.dumps(row) + "\n")
-        os.replace(tmp, sidecar)
-        print(f"wrote {len(sidecar_rows)} analysis rows to {sidecar}", file=sys.stderr)
-
-        for model_id, evaluations in sorted(collected.items()):
-            summary = analysis.summarize_evaluations(evaluations)
-            had_rows = True
-            print(
-                f"model={model_id} plies={summary.subject_plies} "
-                f"blunder={summary.blunder_rate:.1f} mistake={summary.mistake_rate:.1f} "
-                f"inaccuracy={summary.inaccuracy_rate:.1f} best={summary.best_rate:.1f} "
-                f"avg_win={summary.avg_win_percent:.1f}"
-            )
+            for model_id, evaluations in sorted(collected.items()):
+                summary = analysis.summarize_evaluations(evaluations)
+                had_rows = True
+                print(
+                    f"model={model_id} plies={summary.subject_plies} "
+                    f"blunder={summary.blunder_rate:.1f} mistake={summary.mistake_rate:.1f} "
+                    f"inaccuracy={summary.inaccuracy_rate:.1f} best={summary.best_rate:.1f} "
+                    f"avg_win={summary.avg_win_percent:.1f}"
+                )
+    except KeyboardInterrupt:
+        print("interrupted; sidecars already written are kept", file=sys.stderr)
+        return 130
+    finally:
+        pool.shutdown(cancel_futures=True)  # files not yet started are dropped
     if not had_rows:
         print("no analyzable subject plies found", file=sys.stderr)
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_elo(args) -> int:

@@ -229,9 +229,7 @@ class UciEngine:
                     break
             for name, value in self.options:
                 self._send(f"setoption name {name} value {value}")
-            self._send("isready")
-            while self._readline() != "readyok":
-                pass
+            self._wait_ready()
         except ModelError:
             self.quit()  # reap an engine that fails its handshake
             raise
@@ -255,6 +253,16 @@ class UciEngine:
         if line == "":
             raise ModelError("engine", "engine terminated unexpectedly")
         return line.strip()
+
+    def _wait_ready(self) -> None:
+        self._send("isready")
+        while self._readline() != "readyok":
+            pass
+
+    def new_game(self) -> None:
+        """Start a new game: the engine drops what it learnt from earlier searches."""
+        self._send("ucinewgame")
+        self._wait_ready()
 
     def _go_command(self, movetime_ms, depth) -> str:
         movetime_ms = movetime_ms if movetime_ms is not None else self.movetime_ms
@@ -303,17 +311,24 @@ class UciEngine:
                 return score, None if best == "(none)" else best
 
     def quit(self) -> None:
+        """Ask the engine to exit (killing it after 5 s), reap it, close its pipes."""
         if self._proc is None:
             return
         try:
             self._send("quit")
         except ModelError:
             pass
+        proc, self._proc = self._proc, None
         try:
-            self._proc.wait(timeout=5)
+            proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
-            self._proc.kill()
-        self._proc = None
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        try:
+            proc.stdin.close()
+        except OSError:  # input still buffered for an engine that is gone
+            pass
 
     def __enter__(self) -> "UciEngine":
         return self

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentchess import analysis, rules
+from agentchess import analysis, reporting, rules
 from agentchess.analysis import (
     AnalysisEngineConfig,
     PlyEvaluation,
@@ -292,3 +292,32 @@ def test_analysis_engine_config_spawns_with_exact_options(tmp_path):
     assert "setoption name MultiPV value 1" in received
     assert "setoption name Skill Level value 20" in received
     assert "go depth 20" in received
+
+
+# ---------------------------------------------------------------------------
+# One log file on its own engine.
+
+
+def test_analyze_log_starts_a_new_game_before_each_game(tmp_path):
+    log = tmp_path / "games.jsonl"
+    for _ in range(2):
+        reporting.append_log(log, reporting.record_to_entry(subject_game_record(), "mock"))
+    received = tmp_path / "received.txt"
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({
+        "responses": [{"score": "cp 5", "bestmove": "e7e5"}],
+        "log": str(received),
+    }))
+    config = AnalysisEngineConfig(command=(sys.executable, str(FAKE_UCI), str(script)), depth=3)
+    diagnostics, rows, collected = analysis.analyze_log(log, config)
+    assert diagnostics == []
+    assert [(r["game_index"], r["ply_index"]) for r in rows] == [(0, 1), (0, 3), (1, 1), (1, 3)]
+    assert [e.ply_index for e in collected["mock"]] == [1, 3, 1, 3]
+    lines = received.read_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if line == "ucinewgame"]
+    assert len(starts) == 2
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        game = lines[start:end]
+        assert game[:2] == ["ucinewgame", "isready"] and game[2].startswith("position fen ")
+        assert sum(line == "go depth 3" for line in game) == 4  # two searches per subject ply
+    assert "position" not in " ".join(lines[:starts[0]])

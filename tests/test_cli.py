@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
 import sys
+import threading
+import warnings
+from pathlib import Path
 
 import pytest
 
-from agentchess import runner
+from agentchess import analysis, cli, runner
 from agentchess.cli import main
 
 from conftest import FAKE_UCI
@@ -26,10 +30,11 @@ def write_manifest(tmp_path, **overrides):
     return path
 
 
-def fake_engine_cmdline(tmp_path, responses=None):
-    script = tmp_path / "engine_script.json"
+def fake_engine_cmdline(tmp_path, responses=None, name="engine_script.json", **settings):
+    script = tmp_path / name
     script.write_text(json.dumps({
         "responses": responses or [{"score": "cp 0", "bestmove": "e2e4"}],
+        **settings,
     }))
     return f"{sys.executable} {FAKE_UCI} {script}"
 
@@ -241,6 +246,154 @@ def test_analyze_flags_games_without_subject_plies(tmp_path, capsys):
     assert main(["analyze", str(log), "--engine", engine]) == 0
     rows = read_jsonl(tmp_path / "runs" / "games-random.jsonl.analysis.jsonl")
     assert rows == [{"game_index": 0, "model_id": "query-loop", "unanalyzed": "no subject plies"}]
+
+
+# A stateful engine: each search takes the next score, so rows would change if
+# an engine's searches crossed log files.
+VARIED_RESPONSES = [
+    {"score": "cp 30", "bestmove": "e7e5"},
+    {"score": "cp -250", "bestmove": "d7d5"},
+    {"score": "mate 2", "bestmove": "b8c6"},
+    {"score": "cp 120", "bestmove": "g8f6"},
+    {"score": "cp -40", "bestmove": "e7e5"},
+]
+
+
+def scripted_logs(tmp_path, capsys, games):
+    """One log per entry of `games`, each that many games of a differently
+    named scripted subject with three moves a game."""
+    logs = []
+    for n, count in enumerate(games):
+        manifest = write_manifest(
+            tmp_path,
+            subject={"kind": "scripted", "replies": ["make_move e7e5", "make_move b8c6", "make_move g8f6"],
+                     "cycle": False, "name": f"mock-{len(games) - n}"},
+            opponent={"kind": "scripted_moves", "moves": ["e2e4", "d2d4", "g1f3", "b1c3"]},
+            games=count,
+            out_dir=str(tmp_path / f"runs-{n}"),
+        )
+        assert main(["run", "--config", str(manifest)]) == 0
+        logs.append(str(tmp_path / f"runs-{n}" / "games-scripted.jsonl"))
+    capsys.readouterr()
+    return logs
+
+
+def analyze_outputs(logs, engine, capsys):
+    code = main(["analyze", *logs, "--engine", engine])
+    out, err = capsys.readouterr()
+    return code, out, err, [Path(log + ".analysis.jsonl").read_bytes() for log in logs]
+
+
+def test_analyze_pool_output_matches_one_worker(tmp_path, capsys, monkeypatch):
+    logs = scripted_logs(tmp_path, capsys, (3, 1, 2, 1))
+    engine = fake_engine_cmdline(tmp_path, VARIED_RESPONSES)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = analyze_outputs(logs, engine, capsys)
+
+    # Two files at a time must meet here, or the barrier times out.
+    barrier = threading.Barrier(2, timeout=30)
+    analyze_log = analysis.analyze_log
+
+    def meet_then_analyze(log_path, config):
+        barrier.wait()
+        return analyze_log(log_path, config)
+
+    monkeypatch.setattr(analysis, "analyze_log", meet_then_analyze)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    pooled = analyze_outputs(logs, engine, capsys)
+    assert pooled == serial
+    code, out, err, sidecars = pooled
+    assert code == 0
+    assert [line.split()[-1] for line in err.splitlines()] == [log + ".analysis.jsonl" for log in logs]
+    assert [len(s.splitlines()) for s in sidecars] == [9, 3, 6, 3]
+    assert out.count("model=") == 4
+
+
+def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys):
+    logs = scripted_logs(tmp_path, capsys, (3, 1))  # 18 and 6 searches
+    clean = analyze_outputs(logs, fake_engine_cmdline(tmp_path, VARIED_RESPONSES), capsys)
+    crashing = fake_engine_cmdline(tmp_path, VARIED_RESPONSES, name="crash.json", crash_after_go=8)
+    code, _, _, sidecars = analyze_outputs(logs, crashing, capsys)
+    assert code == 0
+    rows = [json.loads(line) for line in sidecars[0].splitlines()]
+    assert [r["game_index"] for r in rows if "ply_index" in r] == [0, 0, 0]
+    assert [r["game_index"] for r in rows if "unanalyzed" in r] == [1, 2]
+    assert sidecars[0] != clean[3][0]
+    assert sidecars[1] == clean[3][1]
+
+
+def test_analyze_engine_that_fails_to_start_is_a_diagnostic(tmp_path, capsys):
+    log = run_two_game_log(tmp_path)
+    sidecar = tmp_path / "runs" / "games-scripted.jsonl.analysis.jsonl"
+    sidecar.write_text("earlier rows\n")
+    capsys.readouterr()
+    assert main(["analyze", str(log), "--engine", f"{sys.executable} -c pass"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {log}: engine: engine terminated unexpectedly" in err
+    assert "Traceback" not in err
+    assert sidecar.read_text() == "earlier rows\n"
+
+
+FAIL_FIRST_LAUNCH = """
+import os, sys
+marker = sys.argv[1]
+if not os.path.exists(marker):
+    open(marker, "w").close()
+    sys.exit(1)
+os.execv(sys.argv[2], sys.argv[2:])
+"""
+
+
+def test_analyze_goes_on_after_an_engine_fails_to_start(tmp_path, capsys, monkeypatch):
+    logs = scripted_logs(tmp_path, capsys, (1, 2))
+    Path(logs[0] + ".analysis.jsonl").write_text("earlier rows\n")
+    wrapper = tmp_path / "fail_first_launch.py"
+    wrapper.write_text(FAIL_FIRST_LAUNCH)
+    engine = f"{sys.executable} {wrapper} {tmp_path / 'launched'} {fake_engine_cmdline(tmp_path)}"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # the first log's engine launches first
+    code, out, err, sidecars = analyze_outputs(logs, engine, capsys)
+    assert code == 2
+    assert err.splitlines()[0] == f"error: {logs[0]}: engine: engine terminated unexpectedly"
+    assert sidecars[0] == b"earlier rows\n"
+    assert len(sidecars[1].splitlines()) == 6
+    assert "model=mock-1 plies=6" in out and "mock-2" not in out
+
+
+def test_analyze_unreadable_log_is_a_diagnostic(tmp_path, capsys):
+    log = run_two_game_log(tmp_path)
+    missing = tmp_path / "missing.jsonl"
+    capsys.readouterr()
+    assert main(["analyze", str(missing), str(log), "--engine", fake_engine_cmdline(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {missing}: ")
+    assert "model=mock" in captured.out
+    assert not Path(str(missing) + ".analysis.jsonl").exists()
+
+
+def test_analyze_interrupt_keeps_sidecars_already_written(tmp_path, capsys, monkeypatch):
+    logs = scripted_logs(tmp_path, capsys, (1, 1, 1))
+    analyze_log = analysis.analyze_log
+
+    def interrupt_after_first(log_path, config):
+        if log_path != logs[0]:
+            raise KeyboardInterrupt
+        return analyze_log(log_path, config)
+
+    monkeypatch.setattr(analysis, "analyze_log", interrupt_after_first)
+    assert main(["analyze", *logs, "--engine", fake_engine_cmdline(tmp_path)]) == 130
+    assert "interrupted" in capsys.readouterr().err
+    assert [Path(log + ".analysis.jsonl").exists() for log in logs] == [True, False, False]
+
+
+def test_analyze_closes_engine_pipes(tmp_path, capsys):
+    logs = scripted_logs(tmp_path, capsys, (1, 1, 1))
+    engine = fake_engine_cmdline(tmp_path)
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", *logs, "--engine", engine]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # ---------------------------------------------------------------------------

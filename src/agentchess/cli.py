@@ -241,7 +241,8 @@ def _usable_cpus() -> int:
 
 def cmd_analyze(args) -> int:
     config = _analysis_engine(args)
-    had_rows = failed = False
+    by_model: dict = {}
+    failed = False
     # One engine per log file, up to one file per CPU. Results are taken in
     # argument order, so the output is the same as a serial run's.
     pool = ThreadPoolExecutor(max_workers=min(len(args.logs), _usable_cpus()))
@@ -263,22 +264,22 @@ def cmd_analyze(args) -> int:
                     handle.write(json.dumps(row) + "\n")
             os.replace(tmp, sidecar)
             print(f"wrote {len(rows)} analysis rows to {sidecar}", file=sys.stderr)
-
-            for model_id, evaluations in sorted(collected.items()):
-                summary = analysis.summarize_evaluations(evaluations)
-                had_rows = True
-                print(
-                    f"model={model_id} plies={summary.subject_plies} "
-                    f"blunder={summary.blunder_rate:.1f} mistake={summary.mistake_rate:.1f} "
-                    f"inaccuracy={summary.inaccuracy_rate:.1f} best={summary.best_rate:.1f} "
-                    f"avg_win={summary.avg_win_percent:.1f}"
-                )
+            for model_id, evaluations in collected.items():
+                by_model.setdefault(model_id, []).extend(evaluations)
     except KeyboardInterrupt:
         print("interrupted; sidecars already written are kept", file=sys.stderr)
         return 130
     finally:
         pool.shutdown(cancel_futures=True)  # files not yet started are dropped
-    if not had_rows:
+    for model_id, evaluations in sorted(by_model.items()):  # one summary per model, all logs
+        summary = analysis.summarize_evaluations(evaluations)
+        print(
+            f"model={model_id} plies={summary.subject_plies} "
+            f"blunder={summary.blunder_rate:.1f} mistake={summary.mistake_rate:.1f} "
+            f"inaccuracy={summary.inaccuracy_rate:.1f} best={summary.best_rate:.1f} "
+            f"avg_win={summary.avg_win_percent:.1f}"
+        )
+    if not by_model:
         print("no analyzable subject plies found", file=sys.stderr)
     return 2 if failed else 0
 

@@ -232,6 +232,19 @@ def test_analyze_rerun_is_idempotent(tmp_path, capsys):
     assert sidecar.read_bytes() == first
 
 
+def test_analyze_prints_one_summary_per_model_across_logs(tmp_path, capsys):
+    log = run_two_game_log(tmp_path)
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(log.read_bytes())
+    random_log = scripted_logs(tmp_path, capsys, (1,))[0]
+    engine = fake_engine_cmdline(tmp_path)
+    assert main(["analyze", str(log), random_log, str(copy), "--engine", engine]) == 0
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+        ["model=mock", "plies=12"],
+        ["model=mock-1", "plies=3"],
+    ]
+
+
 def test_analyze_requires_engine(tmp_path, capsys):
     log = run_two_game_log(tmp_path)
     assert main(["analyze", str(log)]) == 2

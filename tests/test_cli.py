@@ -303,15 +303,20 @@ def test_analyze_pool_output_matches_one_worker(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     serial = analyze_outputs(logs, engine, capsys)
 
-    # Two files at a time must meet here, or the barrier times out.
-    barrier = threading.Barrier(2, timeout=30)
+    # The first log is analysed only after all the others, so the files finish
+    # out of argument order; all four must be in flight, or the barrier times out.
+    all_started = threading.Barrier(len(logs), timeout=30)
     analyze_log = analysis.analyze_log
 
-    def meet_then_analyze(log_path, config):
-        barrier.wait()
-        return analyze_log(log_path, config)
+    def first_log_last(log_path, config):
+        if log_path == logs[0]:
+            all_started.wait()
+            return analyze_log(log_path, config)
+        result = analyze_log(log_path, config)
+        all_started.wait()
+        return result
 
-    monkeypatch.setattr(analysis, "analyze_log", meet_then_analyze)
+    monkeypatch.setattr(analysis, "analyze_log", first_log_last)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     pooled = analyze_outputs(logs, engine, capsys)
     assert pooled == serial

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -232,6 +233,25 @@ def test_perft_reference_positions(fen, expected):
     board = parse_fen(fen)
     for depth, nodes in enumerate(expected, start=1):
         assert perft(board, depth) == nodes, f"{fen} depth {depth}"
+
+
+def test_perft_depth_five_with_en_passant_rank_pin():
+    # Published count. After e2e4 or g2g4, fxe3 or fxg3 en passant would
+    # empty the fourth rank between the b4 rook and the h4 king.
+    assert perft(parse_fen(PERFT_CASES[2][0]), 5) == 674624
+
+
+# sha256 of the legal UCI lists over the 1,000 playout positions, in order,
+# as the copy-and-test generator produced them. It pins legality and the
+# sort order on the checks, pins and en-passant captures that playouts reach.
+PLAYOUT_LEGAL_MOVES_SHA256 = "388ac21ec21104bb00c8fb1b37ae42528045ed4b469dc5b4df38d8f12b111af5"
+
+
+def test_legal_moves_digest_over_playout_positions(playout_positions):
+    digest = hashlib.sha256()
+    for board in playout_positions:
+        digest.update((" ".join(m.uci() for m in legal_moves(board)) + "\n").encode())
+    assert digest.hexdigest() == PLAYOUT_LEGAL_MOVES_SHA256
 
 
 def test_perft_depth_zero_and_one():

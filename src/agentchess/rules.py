@@ -197,6 +197,16 @@ def _build_pawn_sources():
 
 
 _PAWN_SOURCES = _build_pawn_sources()
+# _PAWN_CAPTURES[color][sq]: the squares a pawn of that color on sq attacks.
+_PAWN_CAPTURES = {WHITE: _PAWN_SOURCES[BLACK], BLACK: _PAWN_SOURCES[WHITE]}
+_SLIDER_DIRS = {p: dirs for ps, dirs in (("Rr", range(4)), ("Bb", range(4, 8)), ("Qq", range(8)))
+                for p in ps}
+# Per side: (right, squares that must be empty, king path that must not be
+# attacked, king destination). The king starts on the first path square.
+_CASTLING = {
+    WHITE: (("K", (5, 6), (4, 5, 6), 6), ("Q", (1, 2, 3), (4, 3, 2), 2)),
+    BLACK: (("k", (61, 62), (60, 61, 62), 62), ("q", (57, 58, 59), (60, 59, 58), 58)),
+}
 
 
 def _is_attacked(squares, sq: int, by: str) -> bool:
@@ -232,11 +242,28 @@ def _is_attacked(squares, sq: int, by: str) -> bool:
 
 
 def _king_square(squares, color: str) -> int:
-    target = "K" if color == WHITE else "k"
-    for sq in range(64):
-        if squares[sq] == target:
-            return sq
-    raise ValueError(f"no {color} king on board")
+    return squares.index("K" if color == WHITE else "k")
+
+
+# Move codes: (uci_order(from) * 64 + uci_order(to)) * 5 + promotion rank,
+# where a square's UCI order is file-major and the promotion ranks are
+# none, b, n, q, r, so sorting codes as integers sorts moves by UCI text.
+# Swapping file and rank is its own inverse, so one table maps both ways.
+_UCI_ORDER = tuple(sq % 8 * 8 + sq // 8 for sq in range(64))
+_UCI_ORDER5 = tuple(order * 5 for order in _UCI_ORDER)
+_PROMOTIONS = (None, "b", "n", "q", "r")
+
+
+class _InternedMoves(dict):
+    """code -> Move, one shared instance per code, made on first use."""
+
+    def __missing__(self, code: int) -> Move:
+        move = self[code] = Move(_UCI_ORDER[code // 320], _UCI_ORDER[code // 5 % 64],
+                                 _PROMOTIONS[code % 5])
+        return move
+
+
+_MOVES = _InternedMoves()
 
 
 def _shift_squares(squares: list, move: Move, turn: str) -> None:
@@ -260,108 +287,123 @@ def _shift_squares(squares: list, move: Move, turn: str) -> None:
     squares[to] = piece
 
 
-def _pseudo_moves(squares, turn: str, castling: str, ep_square: int | None) -> list:
-    moves = []
+def _pseudo_moves(squares, turn: str, castling: str, ep_square: int | None):
+    """Yield the codes of the pseudo-legal moves, in no particular order."""
     white = turn == WHITE
-    own = "PNBRQK" if white else "pnbrqk"
+    pawn, knight, king = ("P", "N", "K") if white else ("p", "n", "k")
     enemy = "pnbrqk" if white else "PNBRQK"
-    for sq in range(64):
-        piece = squares[sq]
-        if piece is None or piece not in own:
+    for sq, piece in enumerate(squares):
+        if piece is None or piece in enemy:
             continue
-        kind = piece.upper()
-        if kind == "P":
+        base = _UCI_ORDER5[sq] * 64
+        if piece == pawn:
             step = 8 if white else -8
-            start_rank = 1 if white else 6
-            promo_rank = 7 if white else 0
             one = sq + step
+            promos = (1, 2, 3, 4) if one // 8 == (7 if white else 0) else (0,)
             if squares[one] is None:
-                if one // 8 == promo_rank:
-                    for promo in PROMOTION_PIECES:
-                        moves.append(Move(sq, one, promo))
-                else:
-                    moves.append(Move(sq, one))
-                    if sq // 8 == start_rank and squares[sq + 2 * step] is None:
-                        moves.append(Move(sq, sq + 2 * step))
-            f = sq % 8
-            for df in (-1, 1):
-                if not 0 <= f + df < 8:
-                    continue
-                to = one + df
+                for rank in promos:
+                    yield base + _UCI_ORDER5[one] + rank
+                if sq // 8 == (1 if white else 6) and squares[one + step] is None:
+                    yield base + _UCI_ORDER5[one + step]
+            for to in _PAWN_CAPTURES[turn][sq]:
                 target = squares[to]
                 if target is not None and target in enemy:
-                    if to // 8 == promo_rank:
-                        for promo in PROMOTION_PIECES:
-                            moves.append(Move(sq, to, promo))
-                    else:
-                        moves.append(Move(sq, to))
+                    for rank in promos:
+                        yield base + _UCI_ORDER5[to] + rank
                 elif to == ep_square:
-                    moves.append(Move(sq, to))
-        elif kind == "N":
-            for to in _KNIGHT_TARGETS[sq]:
+                    yield base + _UCI_ORDER5[to]
+        elif piece == knight or piece == king:
+            for to in (_KNIGHT_TARGETS if piece == knight else _KING_TARGETS)[sq]:
                 target = squares[to]
                 if target is None or target in enemy:
-                    moves.append(Move(sq, to))
-        elif kind == "K":
-            for to in _KING_TARGETS[sq]:
-                target = squares[to]
-                if target is None or target in enemy:
-                    moves.append(Move(sq, to))
+                    yield base + _UCI_ORDER5[to]
         else:
-            if kind == "R":
-                dirs = range(4)
-            elif kind == "B":
-                dirs = range(4, 8)
-            else:  # queen
-                dirs = range(8)
             rays = _RAYS[sq]
-            for d in dirs:
+            for d in _SLIDER_DIRS[piece]:
                 for to in rays[d]:
                     target = squares[to]
                     if target is None:
-                        moves.append(Move(sq, to))
+                        yield base + _UCI_ORDER5[to]
                     else:
                         if target in enemy:
-                            moves.append(Move(sq, to))
+                            yield base + _UCI_ORDER5[to]
                         break
     # Castling. Rights are canonical (king and rook on home squares), so only
     # emptiness and the no-check path need testing here.
     them = BLACK if white else WHITE
-    if white:
-        if "K" in castling and squares[5] is None and squares[6] is None \
-                and not any(_is_attacked(squares, s, them) for s in (4, 5, 6)):
-            moves.append(Move(4, 6))
-        if "Q" in castling and squares[3] is None and squares[2] is None and squares[1] is None \
-                and not any(_is_attacked(squares, s, them) for s in (4, 3, 2)):
-            moves.append(Move(4, 2))
-    else:
-        if "k" in castling and squares[61] is None and squares[62] is None \
-                and not any(_is_attacked(squares, s, them) for s in (60, 61, 62)):
-            moves.append(Move(60, 62))
-        if "q" in castling and squares[59] is None and squares[58] is None and squares[57] is None \
-                and not any(_is_attacked(squares, s, them) for s in (60, 59, 58)):
-            moves.append(Move(60, 58))
-    return moves
+    for right, empty, path, to in _CASTLING[turn]:
+        if right in castling and not any(squares[s] for s in empty) \
+                and not any(_is_attacked(squares, s, them) for s in path):
+            yield _UCI_ORDER5[path[0]] * 64 + _UCI_ORDER5[to]
+
+
+def _pin_lines(squares, king_sq: int, turn: str) -> dict:
+    """Map each pinned piece of `turn` to the squares it may still move to:
+    its ray out of the king square, up to and including the pinner."""
+    own = "PNBRQ" if turn == WHITE else "pnbrq"
+    sliders = ("rq", "bq") if turn == WHITE else ("RQ", "BQ")
+    lines = {}
+    for d, ray in enumerate(_RAYS[king_sq]):
+        pinned = None
+        for i, sq in enumerate(ray):
+            piece = squares[sq]
+            if piece is None:
+                continue
+            if pinned is None and piece in own:
+                pinned = sq
+                continue
+            if pinned is not None and piece in sliders[d >= 4]:
+                lines[pinned] = ray[:i + 1]
+            break
+    return lines
+
+
+def _safe_after(squares, move: Move, turn: str, king_sq: int) -> bool:
+    """Make-and-test: is the mover's king unattacked once `move` is made?"""
+    scratch = list(squares)
+    _shift_squares(scratch, move, turn)
+    checked = move.to_square if move.from_square == king_sq else king_sq
+    return not _is_attacked(scratch, checked, opponent(turn))
 
 
 # Positions are immutable and hashable, and one game ply asks for the same
 # move list several times (status check, choice, apply validation), so the
-# sorted list is cached per board.
+# sorted tuple of interned moves is cached per board.
 @lru_cache(maxsize=8192)
 def _legal_moves_cached(board: Board) -> tuple:
     squares = board.squares
     turn = board.turn
-    them = opponent(turn)
     king_sq = _king_square(squares, turn)
-    out = []
-    for move in _pseudo_moves(squares, turn, board.castling, board.ep_square):
-        scratch = list(squares)
-        _shift_squares(scratch, move, turn)
-        checked = move.to_square if move.from_square == king_sq else king_sq
-        if not _is_attacked(scratch, checked, them):
-            out.append(move)
-    out.sort(key=Move.uci)
-    return tuple(out)
+    pseudo = _pseudo_moves(squares, turn, board.castling, board.ep_square)
+    if _is_attacked(squares, king_sq, opponent(turn)):
+        codes = [code for code in pseudo if _safe_after(squares, _MOVES[code], turn, king_sq)]
+    else:
+        # Out of check, only three kinds of move can be illegal: king moves
+        # onto an attacked square, pinned pieces leaving their line, and en
+        # passant (which may uncover the king along a rank). Moves of pawns
+        # that could take en passant are made and tested (line None).
+        lines = _pin_lines(squares, king_sq, turn)
+        if board.ep_square is not None:
+            for src in _PAWN_SOURCES[turn][board.ep_square]:
+                lines[src] = None
+        them = opponent(turn)
+        codes = []
+        for code in pseudo:
+            move = _MOVES[code]
+            frm = move.from_square
+            if frm == king_sq:
+                if _is_attacked(squares, move.to_square, them):
+                    continue
+            elif frm in lines:
+                line = lines[frm]
+                if line is None:
+                    if not _safe_after(squares, move, turn, king_sq):
+                        continue
+                elif move.to_square not in line:
+                    continue
+            codes.append(code)
+    codes.sort()
+    return tuple([_MOVES[code] for code in codes])
 
 
 def legal_moves(board: Board) -> list:
@@ -471,7 +513,12 @@ def _insufficient_side(squares, color: str) -> bool:
     return True
 
 
+_MATING_MATERIAL = frozenset("PpRrQq")
+
+
 def is_insufficient_material(board: Board) -> bool:
+    if not _MATING_MATERIAL.isdisjoint(board.squares):
+        return False
     return _insufficient_side(board.squares, WHITE) and _insufficient_side(board.squares, BLACK)
 
 
@@ -481,7 +528,7 @@ def game_status(board: Board, history: PositionHistory | None = None) -> GameSta
     The 75-move rule fires at halfmove_clock >= 150, fivefold repetition at a
     count of 5 in `history` (which must include the current position).
     """
-    if not legal_moves(board):
+    if not _legal_moves_cached(board):
         if in_check(board):
             return GameStatus(CHECKMATE, winner=opponent(board.turn))
         return GameStatus(STALEMATE)

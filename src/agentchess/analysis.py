@@ -176,8 +176,9 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
 
     Returns (load diagnostics, sidecar rows, {model_id: evaluations}). The
     engine starts a new game before each game's searches, so a game's rows
-    depend only on the game. An engine fault marks the game `unanalyzed` and
-    the next game goes on; an engine that fails to start raises ModelError.
+    depend only on the game. A malformed entry or an engine fault marks the
+    game `unanalyzed` and the next game goes on; an engine that fails to
+    start raises ModelError.
     Prints nothing and writes no file.
     """
     engine = config.spawn()
@@ -185,8 +186,13 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
         entries, diagnostics = reporting.load_logs(log_path)
         rows, collected = [], {}
         for index, entry in enumerate(entries):
-            record = reporting.entry_to_record(entry)
-            row = {"game_index": index, "model_id": entry["model_id"]}
+            row = {"game_index": index, "model_id": entry.get("model_id")}
+            try:
+                model_id = entry["model_id"]
+                record = reporting.entry_to_record(entry)
+            except Exception as exc:  # malformed entry: flag and move on
+                rows.append({**row, "unanalyzed": f"bad record: {exc!r}"})
+                continue
             try:
                 engine.new_game()
                 evaluations = evaluate_subject_plies(record, engine, config.depth)
@@ -196,7 +202,7 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
             if not evaluations:
                 rows.append({**row, "unanalyzed": "no subject plies"})
                 continue
-            collected.setdefault(entry["model_id"], []).extend(evaluations)
+            collected.setdefault(model_id, []).extend(evaluations)
             rows.extend({**row, **asdict(e)} for e in evaluations)  # one row per scored ply
     finally:
         engine.quit()

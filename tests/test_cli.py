@@ -340,6 +340,43 @@ def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys):
     assert sidecars[1] == clean[3][1]
 
 
+BAD_ENTRY = '{"schema_version": 1, "model_id": "m", "record": {"plies": []}}\n'
+
+
+def insert_bad_entry(log, after_line):
+    lines = Path(log).read_text().splitlines(keepends=True)
+    Path(log).write_text("".join(lines[:after_line] + [BAD_ENTRY] + lines[after_line:]))
+
+
+def test_analyze_flags_a_malformed_record_and_scores_the_games_after_it(tmp_path, capsys):
+    (log,) = scripted_logs(tmp_path, capsys, (2,))
+    engine = fake_engine_cmdline(tmp_path, VARIED_RESPONSES)
+    clean = [json.loads(line) for line in analyze_outputs([log], engine, capsys)[3][0].splitlines()]
+    insert_bad_entry(log, 1)  # good, bad, good
+    code, _, _, (sidecar,) = analyze_outputs([log], engine, capsys)
+    assert code == 0
+    rows = [json.loads(line) for line in sidecar.splitlines()]
+    assert [r for r in rows if r["game_index"] == 1] == [
+        {"game_index": 1, "model_id": "m", "unanalyzed": "bad record: KeyError('config')"}
+    ]
+    assert [r for r in rows if r["game_index"] == 0] == [r for r in clean if r["game_index"] == 0]
+    assert [{**r, "game_index": 1} for r in rows if r["game_index"] == 2] == [
+        r for r in clean if r["game_index"] == 1
+    ]
+
+
+def test_analyze_malformed_record_leaves_other_logs_untouched(tmp_path, capsys):
+    logs = scripted_logs(tmp_path, capsys, (2, 2))
+    engine = fake_engine_cmdline(tmp_path, VARIED_RESPONSES)
+    clean = analyze_outputs(logs, engine, capsys)
+    insert_bad_entry(logs[0], 1)
+    code, out, _, sidecars = analyze_outputs(logs, engine, capsys)
+    assert code == 0
+    assert sidecars[1] == clean[3][1]
+    assert b"bad record: KeyError('config')" in sidecars[0]
+    assert out == clean[1]
+
+
 def test_analyze_engine_that_fails_to_start_is_a_diagnostic(tmp_path, capsys):
     log = run_two_game_log(tmp_path)
     sidecar = tmp_path / "runs" / "games-scripted.jsonl.analysis.jsonl"

@@ -94,3 +94,4 @@ def chat_server():
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -84,6 +86,18 @@ def test_llm_reply_echoes_mock_endpoint():
             [{"role": "user", "content": "make_move e7e5"}], endpoint(url, "echo")
         )
     assert reply == "make_move e7e5"
+
+
+def test_llm_reply_and_test_server_leave_no_socket_open():
+    def one_reply():  # returns, so nothing it held outlives the check below
+        with chat_server() as (url, _):
+            return llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "echo"))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert one_reply() == "hi"
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_llm_reply_timeout_raises_model_error_quickly():

@@ -276,10 +276,6 @@ class GameRecord:
     def ply_count(self) -> int:
         return len(self.plies)
 
-    @property
-    def full_moves(self) -> int:
-        return len(self.plies) // 2
-
     def score(self) -> float | None:
         """Subject score, or None when the record is excluded from scoring."""
         if self.excluded:

@@ -190,7 +190,7 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
             try:
                 model_id = entry["model_id"]
                 record = reporting.entry_to_record(entry)
-            except Exception as exc:  # malformed entry: flag and move on
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:  # malformed entry
                 rows.append({**row, "unanalyzed": f"bad record: {exc!r}"})
                 continue
             try:

@@ -236,7 +236,7 @@ class GameConfig:
         }
 
 
-@dataclass
+@dataclass(slots=True)  # one per ply of every game a log holds
 class PlyRecord:
     mover: str
     uci: str

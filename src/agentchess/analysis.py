@@ -174,24 +174,20 @@ def analyze_game(record, engine, depth: int = 20) -> GameQualitySummary:
 def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
     """Score every game of one log file, in log order, on an engine of its own.
 
-    Returns (load diagnostics, sidecar rows, {model_id: evaluations}). The
-    engine starts a new game before each game's searches, so a game's rows
-    depend only on the game. A malformed entry or an engine fault marks the
-    game `unanalyzed` and the next game goes on; an engine that fails to
-    start raises ModelError.
+    Returns (read diagnostics, sidecar rows, {model_id: evaluations}). The
+    log streams through reporting.read_log into the engine. The engine starts
+    a new game before each game's searches, so a game's rows depend only on
+    the game. A bad record or an engine fault marks the game `unanalyzed` and
+    the next game goes on; an engine that fails to start raises ModelError.
     Prints nothing and writes no file.
     """
     engine = config.spawn()
     try:
-        entries, diagnostics = reporting.load_logs(log_path)
-        rows, collected = [], {}
-        for index, entry in enumerate(entries):
+        diagnostics, rows, collected = [], [], {}
+        for index, (entry, record) in enumerate(reporting.read_log(log_path, diagnostics)):
             row = {"game_index": index, "model_id": entry.get("model_id")}
-            try:
-                model_id = entry["model_id"]
-                record = reporting.entry_to_record(entry)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:  # malformed entry
-                rows.append({**row, "unanalyzed": f"bad record: {exc!r}"})
+            if isinstance(record, str):  # bad record
+                rows.append({**row, "unanalyzed": record})
                 continue
             try:
                 engine.new_game()
@@ -202,7 +198,7 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
             if not evaluations:
                 rows.append({**row, "unanalyzed": "no subject plies"})
                 continue
-            collected.setdefault(model_id, []).extend(evaluations)
+            collected.setdefault(row["model_id"], []).extend(evaluations)
             rows.extend({**row, **asdict(e)} for e in evaluations)  # one row per scored ply
     finally:
         engine.quit()

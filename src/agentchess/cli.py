@@ -284,34 +284,42 @@ def cmd_analyze(args) -> int:
     return 2 if failed else 0
 
 
+def _read_games(log_paths) -> list:
+    """The logs' readable games as (entry, record) pairs; prints every diagnostic."""
+    games = []
+    for log_path in log_paths:
+        diagnostics = []
+        for entry, record in reporting.read_log(log_path, diagnostics):
+            if not isinstance(record, str):  # a bad record is already a diagnostic
+                games.append((entry, record))
+        for line in diagnostics:
+            print(line, file=sys.stderr)
+    return games
+
+
 def cmd_elo(args) -> int:
     if bool(args.outcomes) == bool(args.logs):
         raise ConfigError("give either --outcomes or log files, not both or neither")
-    if args.outcomes:
-        outcomes = elo.read_outcomes_csv(args.outcomes)
-    else:
-        records = []
-        for log_path in args.logs:
-            entries, diagnostics = reporting.load_logs(log_path)
-            for line in diagnostics:
-                print(line, file=sys.stderr)
-            records.extend(reporting.entry_to_record(e) for e in entries)
-        skill_map = None
-        if args.anchor:
-            overrides = {}
-            for pair in args.anchor:
-                skill_text, _, rating_text = pair.partition("=")
-                try:
-                    overrides[int(skill_text)] = float(rating_text)
-                except ValueError:
-                    raise ConfigError(f"bad --anchor {pair!r}, expected SKILL=ELO") from None
-            skills = {elo.opponent_skill(r) for r in records} | set(overrides)
-            skills.discard(None)
-            skill_map = elo.build_skill_map(sorted(skills), overrides)
-        try:
+    try:
+        if args.outcomes:
+            outcomes = elo.read_outcomes_csv(args.outcomes)
+        else:
+            records = [record for _, record in _read_games(args.logs)]
+            skill_map = None
+            if args.anchor:
+                overrides = {}
+                for pair in args.anchor:
+                    skill_text, _, rating_text = pair.partition("=")
+                    try:
+                        overrides[int(skill_text)] = float(rating_text)
+                    except ValueError:
+                        raise ConfigError(f"bad --anchor {pair!r}, expected SKILL=ELO") from None
+                skills = {elo.opponent_skill(r) for r in records} | set(overrides)
+                skills.discard(None)
+                skill_map = elo.build_skill_map(sorted(skills), overrides)
             outcomes = elo.outcomes_from_records(records, skill_map)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not outcomes:
         raise ConfigError("no scorable outcomes found")
 
@@ -340,16 +348,11 @@ def cmd_elo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    entries = []
-    for log_path in args.logs:
-        loaded, diagnostics = reporting.load_logs(log_path)
-        for line in diagnostics:
-            print(line, file=sys.stderr)
-        entries.extend(loaded)
-    if not entries:
+    games = _read_games(args.logs)
+    if not games:
         raise ConfigError("no games found in the given logs")
-    stats_by_model = reporting.aggregate_entries(entries)
-    for model in sorted({e["model_id"] for e in entries} - stats_by_model.keys()):
+    stats_by_model = reporting.aggregate_entries(games)
+    for model in sorted({entry["model_id"] for entry, _ in games} - stats_by_model.keys()):
         print(f"model={model}: no scorable games, left out of the leaderboard", file=sys.stderr)
     if not stats_by_model:
         raise ConfigError("no scorable games in the given logs")
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

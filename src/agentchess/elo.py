@@ -178,7 +178,10 @@ def read_outcomes_csv(path) -> list:
                 raise ValueError(f"{path}:{number}: expected two comma-separated fields")
             if number == 1 and not _is_number(parts[0]):
                 continue  # header
-            outcomes.append(MatchOutcome(float(parts[0]), float(parts[1])))
+            try:
+                outcomes.append(MatchOutcome(float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return outcomes
 
 

@@ -198,8 +198,6 @@ class UciEngine:
     """
 
     def __init__(self, command, options=(), movetime_ms=None, depth=None):
-        if isinstance(command, str):
-            command = [command]
         self.command = list(command)
         self.options = list(options)
         self.movetime_ms = movetime_ms
@@ -264,20 +262,15 @@ class UciEngine:
         self._send("ucinewgame")
         self._wait_ready()
 
-    def _go_command(self, movetime_ms, depth) -> str:
-        movetime_ms = movetime_ms if movetime_ms is not None else self.movetime_ms
-        depth = depth if depth is not None else self.depth
-        parts = ["go"]
-        if depth is not None:
-            parts.append(f"depth {depth}")
-        if movetime_ms is not None:
-            parts.append(f"movetime {movetime_ms}")
-        return " ".join(parts)
-
-    def bestmove(self, fen: str, movetime_ms=None, depth=None) -> str:
+    def bestmove(self, fen: str) -> str:
         """Search from `fen` and return the engine's move text."""
+        go = "go"
+        if self.depth is not None:
+            go += f" depth {self.depth}"
+        if self.movetime_ms is not None:
+            go += f" movetime {self.movetime_ms}"
         self._send(f"position fen {fen}")
-        self._send(self._go_command(movetime_ms, depth))
+        self._send(go)
         while True:
             line = self._readline()
             if line.startswith("bestmove"):

@@ -54,35 +54,51 @@ def append_log(path, entry: dict) -> None:
         handle.write(json.dumps(entry) + "\n")
 
 
-def load_logs(*paths) -> tuple:
-    """Read log files, returning (entries, diagnostics).
+def read_log(path, diagnostics: list):
+    """Yield (entry, record) for each schema-1 entry of one log, in file order.
 
-    Corrupt lines and entries from unknown schema versions are reported with
-    their file and line number; loading continues past them. Unknown extra
-    fields within an entry are ignored.
+    This is the one place a log line becomes a game. `record` is the rebuilt
+    GameRecord, or the text "bad record: <exc!r>" when the entry cannot be
+    rebuilt; such an entry keeps its place, so positions in the file stay
+    game indexes. Every line that is not a readable game appends a
+    "path:line: reason" diagnostic: a corrupt line, a line that is not a JSON
+    object, an unknown schema version, or a bad record. Blank lines are
+    skipped and unknown extra fields within an entry are ignored. A file that
+    cannot be opened raises OSError.
     """
-    entries = []
+    path = os.fspath(path)
+    # Bytes in, so json.loads decodes each line and bad UTF-8 spoils only its own line.
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                diagnostics.append(f"{path}:{number}: corrupt entry ({getattr(exc, 'msg', exc)})")
+                continue
+            if not isinstance(entry, dict):
+                diagnostics.append(f"{path}:{number}: not a JSON object")
+                continue
+            version = entry.get("schema_version")
+            if version != SCHEMA_VERSION:
+                diagnostics.append(f"{path}:{number}: unsupported schema version {version!r}")
+                continue
+            try:
+                if not isinstance(entry["model_id"], str):  # every command groups by it
+                    raise TypeError(f"model_id {entry['model_id']!r} is not a string")
+                record = entry_to_record(entry)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                record = f"bad record: {exc!r}"
+                diagnostics.append(f"{path}:{number}: {record}")
+            yield entry, record
+
+
+def load_logs(*paths) -> tuple:
+    """Read log files through read_log, returning (entries, diagnostics)."""
     diagnostics = []
-    for path in paths:
-        path = os.fspath(path)
-        with open(path, encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    diagnostics.append(f"{path}:{number}: corrupt entry ({exc.msg})")
-                    continue
-                version = entry.get("schema_version")
-                if version != SCHEMA_VERSION:
-                    diagnostics.append(
-                        f"{path}:{number}: unsupported schema version {version!r}"
-                    )
-                    continue
-                entries.append(entry)
-    return entries, diagnostics
+    return [entry for path in paths for entry, _ in read_log(path, diagnostics)], diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +203,15 @@ def aggregate(records) -> AggregateStats:
     )
 
 
-def aggregate_entries(entries) -> dict:
-    """Group loaded log entries by model id and aggregate each group.
+def aggregate_entries(games) -> dict:
+    """Group read_log's (entry, record) pairs by model id and aggregate each group.
 
-    Models whose games are all excluded have nothing to score and are left
-    out of the result.
+    Every record must be a rebuilt GameRecord. Models whose games are all
+    excluded have nothing to score and are left out of the result.
     """
     by_model: dict = {}
-    for entry in entries:
-        by_model.setdefault(entry["model_id"], []).append(entry_to_record(entry))
+    for entry, record in games:
+        by_model.setdefault(entry["model_id"], []).append(record)
     return {
         model: aggregate(records)
         for model, records in sorted(by_model.items())

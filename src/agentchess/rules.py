@@ -417,23 +417,9 @@ def in_check(board: Board) -> bool:
 
 def _has_legal_ep_capture(squares, turn: str, ep_square: int) -> bool:
     pawn = "P" if turn == WHITE else "p"
-    step = 1 if turn == WHITE else -1
-    ep_f, ep_r = ep_square % 8, ep_square // 8
-    captured = (ep_r - step) * 8 + ep_f
-    them = opponent(turn)
-    for df in (-1, 1):
-        if not 0 <= ep_f + df < 8:
-            continue
-        src = (ep_r - step) * 8 + (ep_f + df)
-        if squares[src] != pawn:
-            continue
-        scratch = list(squares)
-        scratch[src] = None
-        scratch[captured] = None
-        scratch[ep_square] = pawn
-        if not _is_attacked(scratch, _king_square(scratch, turn), them):
-            return True
-    return False
+    king_sq = _king_square(squares, turn)
+    return any(squares[src] == pawn and _safe_after(squares, Move(src, ep_square), turn, king_sq)
+               for src in _PAWN_SOURCES[turn][ep_square])
 
 
 def _apply_unchecked(board: Board, move: Move) -> Board:
@@ -558,8 +544,9 @@ def perft(board: Board, depth: int) -> int:
 def parse_fen(text: str) -> Board:
     """Parse a FEN string, validating shape, kings, castling and en passant.
 
-    Castling rights whose king or rook is off its home square are dropped,
-    and the en-passant field is kept only when a capture is actually legal,
+    Castling rights whose king or rook is off its home square are dropped.
+    An en-passant square must be empty with a pawn of the side that just
+    moved in front of it, and is kept only when a capture is actually legal,
     so rendering the result gives the canonical form of the input.
     """
     fields = text.split()
@@ -618,6 +605,9 @@ def parse_fen(text: str) -> Board:
         expected_rank = 5 if turn == WHITE else 2
         if ep_square // 8 != expected_rank:
             raise FenError(f"en-passant square {ep_field!r} inconsistent with side to move")
+        pushed = ep_square - 8 if turn == WHITE else ep_square + 8
+        if squares[ep_square] is not None or squares[pushed] != ("p" if turn == WHITE else "P"):
+            raise FenError(f"en-passant square {ep_field!r} has no pawn that just passed it")
         if not _has_legal_ep_capture(squares, turn, ep_square):
             ep_square = None
 

@@ -457,9 +457,8 @@ def play_game(cfg: GameConfig) -> GameRecord:
     )
 
 
-def run_games(cfg: GameConfig, n: int, parallelism: int = 1, seed_base: int | None = None,
-              on_record=None) -> list:
-    """Play n games from one config template, game i seeded seed_base + i.
+def run_games(cfg: GameConfig, n: int, parallelism: int = 1, on_record=None) -> list:
+    """Play n games from one config template, game i seeded cfg.seed + i.
 
     Results come back in game-index order regardless of completion order;
     on_record (if given) fires as each game finishes, serialized by a lock,
@@ -467,12 +466,10 @@ def run_games(cfg: GameConfig, n: int, parallelism: int = 1, seed_base: int | No
     """
     if n < 1:
         raise ValueError("need at least one game")
-    if seed_base is None:
-        seed_base = cfg.seed
     lock = threading.Lock()
 
     def one(index: int):
-        record = play_game(replace(cfg, seed=seed_base + index))
+        record = play_game(replace(cfg, seed=cfg.seed + index))
         with lock:
             print(
                 f"game {index + 1}/{n}: {record.termination} plys={record.ply_count}",

@@ -377,6 +377,20 @@ def test_analyze_malformed_record_leaves_other_logs_untouched(tmp_path, capsys):
     assert out == clean[1]
 
 
+def test_analyze_prints_a_diagnostic_for_each_unreadable_line(tmp_path, capsys):
+    (log,) = scripted_logs(tmp_path, capsys, (2,))
+    engine = fake_engine_cmdline(tmp_path, VARIED_RESPONSES)
+    insert_bad_entry(log, 1)
+    _, clean_out, _, clean = analyze_outputs([log], engine, capsys)
+    lines = Path(log).read_text().splitlines(keepends=True)
+    Path(log).write_text("".join(lines[:2] + ["[1, 2]\n"] + lines[2:]))  # good, bad, [1, 2], good
+    code, out, err, sidecars = analyze_outputs([log], engine, capsys)
+    assert code == 0
+    assert f"{log}:2: bad record: KeyError('config')" in err.splitlines()
+    assert f"{log}:3: not a JSON object" in err.splitlines()
+    assert (out, sidecars) == (clean_out, clean)
+
+
 def test_analyze_engine_that_fails_to_start_is_a_diagnostic(tmp_path, capsys):
     log = run_two_game_log(tmp_path)
     sidecar = tmp_path / "runs" / "games-scripted.jsonl.analysis.jsonl"
@@ -530,6 +544,23 @@ def test_elo_requires_exactly_one_source(tmp_path, capsys):
     assert main(["elo", "some.jsonl", "--outcomes", str(csv_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        ("opponent_rating,score\n400,0.7\n", ":2: score must be one of"),
+        (None, "No such file"),
+    ],
+    ids=["bad-score", "missing-csv"],
+)
+def test_elo_bad_outcomes_csv_is_an_error(tmp_path, capsys, csv_text, message):
+    csv_path = tmp_path / "outcomes.csv"
+    if csv_text is not None:
+        csv_path.write_text(csv_text)
+    assert main(["elo", "--outcomes", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_elo_random_opponent_logs_rejected(tmp_path, capsys):
     manifest = write_manifest(tmp_path, games=1)
     assert main(["run", "--config", str(manifest)]) == 0
@@ -603,3 +634,63 @@ def test_report_skips_model_with_only_excluded_games(tmp_path, capsys):
 
     assert main(["report", crashed_log, "--out", str(out_dir)]) == 2
     assert "no scorable games" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input in report and elo
+
+
+def engine_log_then(tmp_path, capsys, line):
+    """A one-game log against engine skill 1, followed by `line`."""
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}])
+    manifest = write_manifest(
+        tmp_path,
+        subject={"kind": "scripted", "replies": ["banana"], "name": "hopeless"},
+        opponent={"kind": "engine", "command": engine, "skills": [1]},
+        games=1,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    log = tmp_path / "runs" / "games-skill-1.jsonl"
+    with open(log, "ab") as handle:
+        handle.write(line)
+    capsys.readouterr()
+    return log
+
+
+def read_argv(command, log, tmp_path):
+    """`report` (into a scratch directory) or `elo` over one log."""
+    return [command, str(log), *(["--out", str(tmp_path / "reports")] if command == "report" else [])]
+
+
+@pytest.mark.parametrize("command, counted", [("report", "hopeless,1,"), ("elo", "games=1 ")])
+@pytest.mark.parametrize(
+    "line, diagnostic",
+    [
+        (BAD_ENTRY.encode(), ":2: bad record: KeyError('config')"),
+        (b"[1, 2]\n", ":2: not a JSON object"),
+        (b"\xff\n", ":2: corrupt entry ('utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte)"),
+    ],
+    ids=["bad-record", "not-an-object", "not-utf-8"],
+)
+def test_unreadable_line_is_a_diagnostic_and_the_good_game_counts(
+    tmp_path, capsys, command, counted, line, diagnostic
+):
+    log = engine_log_then(tmp_path, capsys, line)
+    assert main(read_argv(command, log, tmp_path)) == 0
+    out, err = capsys.readouterr()
+    assert f"{log}{diagnostic}" in err.splitlines()
+    assert counted in out
+
+
+@pytest.mark.parametrize("command", ["report", "elo"])
+def test_missing_log_is_an_error(tmp_path, capsys, command):
+    assert main(read_argv(command, tmp_path / "missing.jsonl", tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.jsonl" in err
+
+
+def test_elo_non_increasing_anchors_are_an_error(tmp_path, capsys):
+    log = engine_log_then(tmp_path, capsys, b"")
+    assert main(["elo", str(log), "--anchor", "1=1000", "--anchor", "2=500"]) == 2
+    assert "error: skill ratings must be strictly increasing" in capsys.readouterr().err

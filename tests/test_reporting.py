@@ -15,6 +15,7 @@ from agentchess.reporting import (
     emit_leaderboard,
     entry_to_record,
     load_logs,
+    read_log,
     record_to_entry,
 )
 from agentchess.runner import GameConfig, RandomSpec, ScriptedDialogSpec, play_game
@@ -298,8 +299,9 @@ def test_aggregate_entries_groups_by_model(tmp_path):
     append_log(path, record_to_entry(make_record("checkmate_llm"), "model-a"))
     append_log(path, record_to_entry(make_record("max_moves"), "model-b"))
     append_log(path, record_to_entry(make_record("checkmate_opponent"), "model-a"))
-    entries, _ = load_logs(path)
-    by_model = aggregate_entries(entries)
+    diagnostics = []
+    by_model = aggregate_entries(read_log(path, diagnostics))
+    assert diagnostics == []
     assert set(by_model) == {"model-a", "model-b"}
     assert by_model["model-a"].total_games == 2
     assert by_model["model-b"].draw_pct == 100.0

@@ -73,6 +73,8 @@ def test_parse_fen_reflection_position():
         "8/8/8/8/8/8/8/8 w - - 0 1",  # no kings
         "kk6/8/8/8/8/8/8/K7 w - - 0 1",  # two black kings
         "Pk6/8/8/8/8/8/8/K7 w - - 0 1",  # pawn on rank 8
+        "rnbqkbnr/ppp1pppp/3N4/3pP3/8/8/PPPP1PPP/R1BQKBNR w KQkq d6 0 3",  # ep square occupied
+        "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR b KQkq e3 0 1",  # no pawn passed e3
     ],
 )
 def test_parse_fen_rejects_malformed_input(bad):

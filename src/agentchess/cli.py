@@ -9,12 +9,15 @@ runs keep every completed game.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shlex
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from dataclasses import replace
 
 from . import analysis, dialog, elo, reporting, runner
 from .players import EngineConfig, LLMEndpointConfig, MoAConfig, ModelError
@@ -201,27 +204,32 @@ def cmd_run(args) -> int:
     if games < 1:
         raise ConfigError("games must be at least 1")
     parallelism = int(manifest.get("parallelism", 1))
+    if parallelism < 1:
+        raise ConfigError("parallelism must be at least 1")
     out_dir = manifest.get("out_dir", "runs")
     subject, model_id = subject_spec(manifest)
-    cells = opponent_cells(manifest)
-
-    for cell, opponent in cells:
-        cfg = game_config(manifest, subject, opponent)
-        log_path = os.path.join(out_dir, f"games-{cell}.jsonl")
-
-        def persist(index, record, log_path=log_path):
-            reporting.append_log(log_path, reporting.record_to_entry(record, model_id))
-
+    cells = [(cell, game_config(manifest, subject, opp)) for cell, opp in opponent_cells(manifest)]
+    # One pool plays every cell's games, game i seeded seed + i. Only this thread
+    # writes logs and prints, in cell then game order, so neither depends on parallelism.
+    configs = [replace(cfg, seed=cfg.seed + i) for _, cfg in cells for i in range(games)]
+    with closing(runner.play_games(configs, parallelism)) as played:
         try:
-            records = runner.run_games(cfg, games, parallelism=parallelism, on_record=persist)
+            for cell, _ in cells:
+                log_path = os.path.join(out_dir, f"games-{cell}.jsonl")
+                records = []
+                for index, record in enumerate(itertools.islice(played, games)):
+                    reporting.append_log(log_path, reporting.record_to_entry(record, model_id))
+                    print(f"game {index + 1}/{games}: {record.termination} plys={record.ply_count}",
+                          file=sys.stderr)
+                    records.append(record)
+                if all(r.excluded for r in records):
+                    print(f"cell={cell} games=0 excluded={len(records)} (no scorable games)")
+                else:
+                    print(_summary_line(cell, reporting.aggregate(records)))
+                print(f"wrote {games} games to {log_path}", file=sys.stderr)
         except KeyboardInterrupt:
-            print(f"interrupted; completed games kept in {log_path}", file=sys.stderr)
+            print(f"interrupted; completed games kept in {out_dir}", file=sys.stderr)
             return 130
-        if all(r.excluded for r in records):
-            print(f"cell={cell} games=0 excluded={len(records)} (no scorable games)")
-        else:
-            print(_summary_line(cell, reporting.aggregate(records)))
-        print(f"wrote {games} games to {log_path}", file=sys.stderr)
     return 0
 
 

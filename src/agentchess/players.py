@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import re
 import subprocess
+import threading
+import time
 from dataclasses import dataclass
 
 import requests
@@ -174,6 +176,9 @@ def moa_reply(messages, cfg: MoAConfig, reply_fn=llm_reply) -> str:
 # UCI engines.
 
 
+HANDSHAKE_TIMEOUT_S = 10.0  # launch to `readyok`; an engine still silent then is killed
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """How to launch and drive one UCI engine for game play.
@@ -217,6 +222,9 @@ class UciEngine:
             )
         except OSError as exc:
             raise ModelError("engine", f"cannot launch {self.command[0]}: {exc}") from exc
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+        killer = threading.Timer(HANDSHAKE_TIMEOUT_S, self._proc.kill)
+        killer.start()
         try:
             self._send("uci")
             while True:
@@ -230,7 +238,11 @@ class UciEngine:
             self._wait_ready()
         except ModelError:
             self.quit()  # reap an engine that fails its handshake
+            if time.monotonic() >= deadline:
+                raise ModelError("engine", f"no handshake in {HANDSHAKE_TIMEOUT_S:g} s") from None
             raise
+        finally:
+            killer.cancel()
         return self
 
     def _send(self, line: str) -> None:

@@ -9,16 +9,15 @@ and every reason maps to win, draw or loss for the subject.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
 import random
-import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import dialog, rules
@@ -457,29 +456,29 @@ def play_game(cfg: GameConfig) -> GameRecord:
     )
 
 
-def run_games(cfg: GameConfig, n: int, parallelism: int = 1, on_record=None) -> list:
-    """Play n games from one config template, game i seeded cfg.seed + i.
+def play_games(configs, parallelism: int = 1):
+    """Yield one record per config, in config order whatever the parallelism.
 
-    Results come back in game-index order regardless of completion order;
-    on_record (if given) fires as each game finishes, serialized by a lock,
-    so callers can persist completed games incrementally.
+    Above parallelism 1, that many threads take the games in order. An
+    interrupt while waiting cancels the games not yet started, lets those in
+    flight finish, yields the gapless run of finished records, and re-raises.
     """
-    if n < 1:
-        raise ValueError("need at least one game")
-    lock = threading.Lock()
-
-    def one(index: int):
-        record = play_game(replace(cfg, seed=cfg.seed + index))
-        with lock:
-            print(
-                f"game {index + 1}/{n}: {record.termination} plys={record.ply_count}",
-                file=sys.stderr,
-            )
-            if on_record is not None:
-                on_record(index, record)
-        return record
-
     if parallelism <= 1:
-        return [one(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, range(n)))
+        for cfg in configs:
+            yield play_game(cfg)
+        return
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+    pending = collections.deque(pool.submit(play_game, cfg) for cfg in configs)
+    try:
+        while pending:
+            yield pending[0].result()
+            pending.popleft()
+    except KeyboardInterrupt:
+        pool.shutdown(cancel_futures=True)
+        for future in pending:
+            if future.cancelled() or future.exception() is not None:
+                break
+            yield future.result()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)

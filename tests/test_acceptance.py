@@ -11,6 +11,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from agentchess.analysis import AnalysisEngineConfig, analyze_game, judge, win_p
 from agentchess.dialog import DialogLimits, ProtocolVariant, build_game_loop_prompt, run_ply
 from agentchess.elo import MatchOutcome, estimate_elo, expected_score
 from agentchess.reporting import aggregate
-from agentchess.runner import GameConfig, RandomSpec, run_games
+from agentchess.runner import GameConfig, RandomSpec, play_games
 
 from conftest import FAKE_UCI, FIXTURES, make_record, random_playout
 
@@ -230,7 +231,8 @@ def test_criterion_6_aggregation_fixtures():
 def test_criterion_7_desk_scale_run():
     with criterion("7", "100 seeded random games terminate in caps, any parallelism"):
         cfg = GameConfig(white=RandomSpec(), black=RandomSpec(), seed=777)
-        serial = run_games(cfg, 100, parallelism=1)
+        configs = [replace(cfg, seed=cfg.seed + i) for i in range(100)]
+        serial = list(play_games(configs, parallelism=1))
         allowed = runner.DRAW_TERMINATIONS | {
             runner.TERM_CHECKMATE_SUBJECT,
             runner.TERM_CHECKMATE_OPPONENT,
@@ -238,7 +240,7 @@ def test_criterion_7_desk_scale_run():
         for record in serial:
             assert record.ply_count <= 200
             assert record.termination in allowed
-        parallel = run_games(cfg, 100, parallelism=8)
+        parallel = list(play_games(configs, parallelism=8))
         assert sorted(r.fingerprint() for r in serial) == sorted(
             r.fingerprint() for r in parallel
         )

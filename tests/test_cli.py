@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import gc
 import json
+import signal
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from agentchess import analysis, cli, runner
+from agentchess import analysis, cli, players, runner
 from agentchess.cli import main
 
 from conftest import FAKE_UCI
@@ -129,6 +131,96 @@ def test_run_interrupt_keeps_completed_games(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(manifest)]) == 130
     entries = read_jsonl(tmp_path / "runs" / "games-random.jsonl")
     assert len(entries) == 3  # completed games survived the interrupt
+
+
+def test_run_interrupt_at_parallelism_2_writes_every_finished_game(tmp_path, capsys, monkeypatch):
+    # Ctrl-C lands while games 2 and 3 are in flight: games 4-9 never start,
+    # and 2 and 3 still finish and are written after 0 and 1.
+    manifest = write_manifest(tmp_path, games=10, parallelism=2)
+    log = tmp_path / "runs" / "games-random.jsonl"
+    real_play = runner.play_game
+    both_in_flight = threading.Barrier(2, timeout=30)
+
+    def interrupting(cfg):
+        if cfg.seed in (2, 3):
+            both_in_flight.wait()
+            if cfg.seed == 3:
+                deadline = time.monotonic() + 30
+                while not (log.exists() and len(log.read_text().splitlines()) == 2):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(0.1)  # so the main thread is back waiting on game 2
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.3)
+        return real_play(cfg)
+
+    monkeypatch.setattr(runner, "play_game", interrupting)
+    assert main(["run", "--config", str(manifest)]) == 130
+    assert [e["record"]["config"]["seed"] for e in read_jsonl(log)] == [0, 1, 2, 3]
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"interrupted; completed games kept in {tmp_path / 'runs'}"
+    assert sum(line.startswith("game ") for line in err.splitlines()) == 4
+
+
+def test_run_seeds_each_cell_from_the_manifest_seed(tmp_path, capsys):
+    manifest = write_manifest(tmp_path, subject={"kind": "random"}, games=5, seed=1000)
+    assert main(["run", "--config", str(manifest)]) == 0
+    entries = read_jsonl(tmp_path / "runs" / "games-random.jsonl")
+    assert [e["record"]["config"]["seed"] for e in entries] == [1000, 1001, 1002, 1003, 1004]
+    # Any single game is replayable in isolation from its recorded seed.
+    random = runner.RandomSpec()
+    replay = runner.play_game(runner.GameConfig(white=random, black=random, seed=1002))
+    assert runner.record_from_dict(entries[2]["record"]).fingerprint() == replay.fingerprint()
+
+
+def test_run_plays_the_cells_of_a_ladder_at_once(tmp_path, capsys, monkeypatch):
+    manifest = write_manifest(
+        tmp_path,
+        opponent={"kind": "engine", "command": fake_engine_cmdline(tmp_path), "skills": [1, 2]},
+        games=1,
+        parallelism=2,
+    )
+    # Each cell has one game, so both games are in flight only if the two
+    # cells share the pool; played one cell after the other, this times out.
+    both_in_flight = threading.Barrier(2, timeout=30)
+    real_play = runner.play_game
+
+    def meet(cfg):
+        both_in_flight.wait()
+        return real_play(cfg)
+
+    monkeypatch.setattr(runner, "play_game", meet)
+    assert main(["run", "--config", str(manifest)]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()] == ["cell=skill-1", "cell=skill-2"]
+    for skill in (1, 2):
+        (entry,) = read_jsonl(tmp_path / "runs" / f"games-skill-{skill}.jsonl")
+        assert entry["record"]["config"]["white"]["skill"] == skill
+
+
+@pytest.mark.parametrize("setting", ["games", "parallelism"])
+def test_run_counts_below_one_are_config_errors(tmp_path, capsys, setting):
+    manifest = write_manifest(tmp_path, **{setting: 0})
+    assert main(["run", "--config", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: {setting} must be at least 1\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_engine_silent_in_its_handshake_times_out(tmp_path, capsys, monkeypatch):
+    # The bare interpreter reads the piped `uci` as a script and never answers.
+    monkeypatch.setattr(players, "HANDSHAKE_TIMEOUT_S", 0.5)
+    log = run_two_game_log(tmp_path)
+    capsys.readouterr()
+    assert main(["analyze", str(log), "--engine", sys.executable]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {log}: engine: no handshake in 0.5 s"
+
+    manifest = write_manifest(
+        tmp_path, opponent={"kind": "engine", "command": sys.executable, "skills": [1]}, games=1,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    (entry,) = read_jsonl(tmp_path / "runs" / "games-skill-1.jsonl")
+    assert entry["record"]["termination"] == "model_error"
+    assert entry["record"]["termination_detail"] == "engine"
 
 
 def test_run_all_games_excluded_reports_cell_without_crashing(tmp_path, capsys):

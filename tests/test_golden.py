@@ -1,11 +1,14 @@
 """Golden seeded run: the CLI's logs, analysis, leaderboards and Elo output.
 
-Plays random, scripted-dialog, fake-engine and endpoint cells at parallelism
-1 through `agentchess run`, then runs `analyze`, `report` and `elo` over the
-logs. Every command's exit code, stdout and stderr, and every file the run
-leaves behind, must match tests/fixtures/golden/expected.txt byte for byte
-once wall-clock fields, the work directory, the interpreter and tests paths,
-and the chat server's port are masked. Refactors must keep it passing.
+Plays random, scripted-dialog, fake-engine and endpoint cells through
+`agentchess run`, then runs `analyze`, `report` and `elo` over the logs.
+Every command's exit code, stdout and stderr, and every file the run leaves
+behind, must match tests/fixtures/golden/expected.txt byte for byte once
+wall-clock fields, the work directory, the interpreter and tests paths, and
+the chat server's port are masked. Refactors must keep it passing. The
+fixture is written at parallelism 1, and a run at parallelism 2 must match
+it too; there the two ladder cells' engines run at once and append to one
+received-lines file, so that file alone is compared as sorted lines.
 
 Regenerate the fixture only for an intended behaviour change:
 
@@ -18,9 +21,11 @@ import json
 import re
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from agentchess import runner
 from agentchess.cli import main
 
 from chat_server import chat_server
@@ -66,7 +71,7 @@ def _mask(text: str, work: Path, url: str) -> str:
     return re.sub(r'"duration_s": [^,}]+', '"duration_s": "<s>"', text)
 
 
-def golden_output(work: Path) -> str:
+def golden_output(work: Path, parallelism: int = 1) -> str:
     """Run the golden command sequence in `work`; return the masked output."""
     sections = []
 
@@ -81,7 +86,7 @@ def golden_output(work: Path) -> str:
         )
 
     def run(name: str, **manifest) -> None:
-        manifest = {"seed": 7, "parallelism": 1, "limits": LIMITS,
+        manifest = {"seed": 7, "parallelism": parallelism, "limits": LIMITS,
                     "out_dir": str(work / "runs" / name), **manifest}
         agentchess("run", "--config", _write_json(work / f"{name}.json", manifest))
 
@@ -120,12 +125,37 @@ def golden_output(work: Path) -> str:
         return _mask("".join(sections), work, url)
 
 
-def test_golden_run_matches_fixture(tmp_path):
-    actual = golden_output(tmp_path)
-    expected = EXPECTED.read_text()
+def _compare(actual: str, tmp_path: Path, expected: str | None = None) -> None:
+    expected = EXPECTED.read_text() if expected is None else expected
     if actual != expected:
         (tmp_path / "actual.txt").write_text(actual)
     assert actual == expected, f"golden output changed; see {tmp_path / 'actual.txt'}"
+
+
+def test_golden_run_matches_fixture(tmp_path):
+    _compare(golden_output(tmp_path), tmp_path)
+
+
+def _sort_engine_log(text: str) -> str:
+    head, marker, engine_log = text.partition("=== file shuffle-engine-received.txt\n")
+    assert marker and "=== " not in engine_log  # the engine's file is the last section
+    return head + marker + "".join(sorted(engine_log.splitlines(keepends=True)))
+
+
+def test_golden_run_at_parallelism_2_matches_fixture(tmp_path, monkeypatch):
+    # Every manifest seeds its first game 7. Holding those back makes the
+    # endpoint cell's second game finish first, so only writes in game order,
+    # not in finishing order, can match the fixture.
+    play_game = runner.play_game
+
+    def first_game_last(cfg):
+        if cfg.seed == 7:
+            time.sleep(0.2)
+        return play_game(cfg)
+
+    monkeypatch.setattr(runner, "play_game", first_game_last)
+    actual = _sort_engine_log(golden_output(tmp_path, parallelism=2))
+    _compare(actual, tmp_path, _sort_engine_log(EXPECTED.read_text()))
 
 
 if __name__ == "__main__":

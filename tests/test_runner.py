@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -19,8 +20,8 @@ from agentchess.runner import (
     ScriptedDialogSpec,
     ScriptedMoverSpec,
     play_game,
+    play_games,
     record_from_dict,
-    run_games,
     score_for_termination,
 )
 
@@ -186,30 +187,46 @@ def test_bad_error_policy_rejected():
         GameConfig(white=RandomSpec(), black=RandomSpec(), error_policy="whatever")
 
 
-def test_run_games_seed_derivation_and_order():
+def cell(cfg: GameConfig, n: int) -> list:
+    """The n games of one cell, as `agentchess run` seeds them."""
+    return [replace(cfg, seed=cfg.seed + i) for i in range(n)]
+
+
+def test_play_games_keeps_config_order():
     cfg = GameConfig(white=RandomSpec(), black=RandomSpec(), seed=1000)
-    records = run_games(cfg, 5)
+    records = list(play_games(cell(cfg, 5)))
     assert [r.config["seed"] for r in records] == [1000, 1001, 1002, 1003, 1004]
     # Any single game is replayable in isolation from its recorded seed.
     replay = play_game(GameConfig(white=RandomSpec(), black=RandomSpec(), seed=1002))
     assert replay.fingerprint() == records[2].fingerprint()
 
 
-def test_run_games_parallelism_does_not_change_results():
+def test_play_games_parallelism_does_not_change_results():
     cfg = GameConfig(white=RandomSpec(), black=RandomSpec(), seed=77)
-    serial = run_games(cfg, 12, parallelism=1)
-    parallel = run_games(cfg, 12, parallelism=8)
+    serial = list(play_games(cell(cfg, 12), parallelism=1))
+    parallel = list(play_games(cell(cfg, 12), parallelism=8))
     assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
 
 
-def test_run_games_on_record_callback_fires_per_game():
-    cfg = GameConfig(white=RandomSpec(), black=RandomSpec(), seed=3)
-    seen = []
-    run_games(cfg, 4, parallelism=2, on_record=lambda i, r: seen.append(i))
-    assert sorted(seen) == [0, 1, 2, 3]
+def test_play_games_yields_each_record_while_later_games_run(monkeypatch):
+    # Game 3 cannot finish until the caller holds game 0's record, so a pool
+    # that waited for every game before yielding would time out here.
+    first_taken = threading.Event()
+    real_play = runner.play_game
+
+    def gated(cfg):
+        if cfg.seed == 3:
+            assert first_taken.wait(timeout=30)
+        return real_play(cfg)
+
+    monkeypatch.setattr(runner, "play_game", gated)
+    games = play_games(cell(GameConfig(white=RandomSpec(), black=RandomSpec()), 4), parallelism=2)
+    first = next(games)
+    first_taken.set()
+    assert [first.config["seed"], *(r.config["seed"] for r in games)] == [0, 1, 2, 3]
 
 
-def test_run_games_policy_split():
+def test_play_games_policy_split():
     # Subject errors on game 2 of 3; the split depends on the policy.
     class FailSecondGame:
         is_dialog = True
@@ -232,26 +249,26 @@ def test_run_games_policy_split():
         def describe(self):
             return {"kind": "fail-second"}
 
-    counted = run_games(
+    counted = list(play_games(cell(
         GameConfig(white=RandomSpec(), black=FailSecondGame(),
                    error_policy=COUNT_MODEL_ERRORS_AS_LOSS),
         3,
-    )
+    )))
     assert [r.termination for r in counted] == ["max_turns", "model_error", "max_turns"]
     assert [r.score() for r in counted] == [0.0, 0.0, 0.0]
 
-    excluded = run_games(
+    excluded = list(play_games(cell(
         GameConfig(white=RandomSpec(), black=FailSecondGame(),
                    error_policy=EXCLUDE_MODEL_ERRORS),
         3,
-    )
+    )))
     assert [r.excluded for r in excluded] == [False, True, False]
     assert [r.score() for r in excluded] == [0.0, None, 0.0]
 
 
 def test_records_respect_caps_and_partition():
     cfg = GameConfig(white=RandomSpec(), black=RandomSpec(), seed=2024)
-    records = run_games(cfg, 8, parallelism=4)
+    records = list(play_games(cell(cfg, 8), parallelism=4))
     for record in records:
         assert record.ply_count <= 200
         for ply in record.plies:
@@ -322,10 +339,10 @@ def test_moa_subject_usage_covers_every_call():
 @pytest.mark.parametrize("policy", [COUNT_MODEL_ERRORS_AS_LOSS, EXCLUDE_MODEL_ERRORS])
 def test_engine_that_fails_to_start_is_a_recorded_model_error(policy):
     dead = EngineSpec(EngineConfig(command=(sys.executable, "-c", "pass")))
-    records = run_games(
+    records = list(play_games(cell(
         GameConfig(white=dead, black=ScriptedDialogSpec(("make_move e7e5",)), error_policy=policy),
         2,
-    )
+    )))
     assert [r.termination for r in records] == ["model_error", "model_error"]
     assert all(r.termination_detail == "engine" for r in records)
     assert all(r.error_side == rules.WHITE for r in records)

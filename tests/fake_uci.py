@@ -7,14 +7,16 @@ Takes a JSON script path as its only argument:
       "responses": [
         {"bestmove": "e7e5"},
         {"score": "cp 13", "bestmove": "e2e4"},
-        {"score": "mate 2", "bestmove": "h5f7"}
+        {"score": "mate 2", "bestmove": "h5f7"},
+        {"info": ["info depth 1 nodes 20"], "bestmove": "d2d4"}
       ],
       "log": "/tmp/received.txt",
       "crash_after_go": 2
     }
 
-Each `go` consumes the next response, printing an info line first when a
-score is scripted; the last response repeats once the list is exhausted.
+Each `go` consumes the next response, printing its scripted `info` lines
+first, then an info line when a score is scripted; the last response repeats
+once the list is exhausted.
 With crash_after_go set, the Nth go kills the process instead, to simulate
 an engine crash mid-game. All received lines are appended to `log` when
 given, so tests can assert on the option handshake.
@@ -57,6 +59,8 @@ def main() -> None:
                 sys.exit(1)
             entry = responses[min(go_count - 1, len(responses) - 1)]
             best = entry.get("bestmove", "(none)")
+            for info in entry.get("info", ()):
+                say(info)
             if entry.get("score"):
                 say(f"info depth 20 seldepth 26 score {entry['score']} nodes 4242 pv {best}")
             say(f"bestmove {best}")

@@ -264,6 +264,33 @@ def test_engine_evaluate_scores(tmp_path):
         assert engine.evaluate(rules.START_FEN, 20) == (("mate", 0), None)
 
 
+def test_engine_bare_bestmove_line(tmp_path):
+    config = fake_engine(tmp_path, [{"bestmove": ""}, {"score": "cp 5", "bestmove": ""}])
+    with spawn_engine(config) as engine:
+        with pytest.raises(ModelError, match="bad bestmove line: 'bestmove'") as exc:
+            engine.bestmove(rules.START_FEN)
+        assert exc.value.reason == "engine"
+        assert engine.evaluate(rules.START_FEN, 20) == (("cp", 5), None)
+
+
+def test_engine_bestmove_none_in_play_is_unparsable(tmp_path):
+    config = fake_engine(tmp_path, [{"bestmove": "(none)"}])
+    with spawn_engine(config) as engine:
+        with pytest.raises(ModelError, match=r"unparsable bestmove '\(none\)'") as exc:
+            engine_move(rules.Board.initial(), engine)
+    assert exc.value.reason == "engine"
+
+
+def test_engine_evaluate_without_a_score_line(tmp_path):
+    info = ["info depth 1 nodes 20", "info string no score here", "info depth 2 score"]
+    config = fake_engine(tmp_path, [{"info": info, "bestmove": "e2e4"}])
+    with spawn_engine(config) as engine:
+        with pytest.raises(ModelError, match="search returned no score for") as exc:
+            engine.evaluate(rules.START_FEN, 20)
+        assert exc.value.reason == "engine"
+        assert engine.bestmove(rules.START_FEN) == "e2e4"  # the session is still in step
+
+
 def test_engine_missing_executable():
     engine = UciEngine(["/no/such/engine/binary"])
     with pytest.raises(ModelError) as exc:

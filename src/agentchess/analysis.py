@@ -103,7 +103,6 @@ class PlyEvaluation:
 
 @dataclass
 class GameQualitySummary:
-    evaluations: list
     subject_plies: int
     blunder_rate: float  # percent of subject plies
     mistake_rate: float
@@ -123,7 +122,6 @@ def summarize_evaluations(evaluations) -> GameQualitySummary:
         return sum(1 for e in evaluations if predicate(e)) * 100.0 / total
 
     return GameQualitySummary(
-        evaluations=evaluations,
         subject_plies=total,
         blunder_rate=rate(lambda e: e.judgment == JUDGMENT_BLUNDER),
         mistake_rate=rate(lambda e: e.judgment == JUDGMENT_MISTAKE),
@@ -164,11 +162,6 @@ def evaluate_subject_plies(record, engine, depth: int = 20) -> list:
             ))
         fen_before = ply.fen_after
     return evaluations
-
-
-def analyze_game(record, engine, depth: int = 20) -> GameQualitySummary:
-    """Full quality summary for one game's subject plies."""
-    return summarize_evaluations(evaluate_subject_plies(record, engine, depth))
 
 
 def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:

@@ -200,15 +200,18 @@ def cmd_run(args) -> int:
     if args.skill:
         manifest.setdefault("opponent", {})["skills"] = args.skill
 
-    games = int(manifest.get("games", 30))
-    if games < 1:
-        raise ConfigError("games must be at least 1")
-    parallelism = int(manifest.get("parallelism", 1))
-    if parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
+    try:
+        games = int(manifest.get("games", 30))
+        if games < 1:
+            raise ConfigError("games must be at least 1")
+        parallelism = int(manifest.get("parallelism", 1))
+        if parallelism < 1:
+            raise ConfigError("parallelism must be at least 1")
+        subject, model_id = subject_spec(manifest)
+        cells = [(cell, game_config(manifest, subject, opp)) for cell, opp in opponent_cells(manifest)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad manifest: {type(exc).__name__}: {exc}") from exc
     out_dir = manifest.get("out_dir", "runs")
-    subject, model_id = subject_spec(manifest)
-    cells = [(cell, game_config(manifest, subject, opp)) for cell, opp in opponent_cells(manifest)]
     # One pool plays every cell's games, game i seeded seed + i. Only this thread
     # writes logs and prints, in cell then game order, so neither depends on parallelism.
     configs = [replace(cfg, seed=cfg.seed + i) for _, cfg in cells for i in range(games)]

@@ -5,14 +5,15 @@ at which the observed total score equals its expectation under the standard
 Elo logistic. That score difference is strictly decreasing in r, so the
 root is unique whenever the outcomes include both wins and losses; all-win
 or all-loss inputs clamp to a bracket end and are flagged rather than
-errored. The standard error comes from the Fisher information at the
-pre-offset root, and the configured first-move compensation (the subject
-normally plays black) is added afterwards.
+errored. The root is the subject's rating as black: a game the subject
+played as white enters the solve against its anchor lowered by twice the
+first-move compensation. The standard error comes from the Fisher
+information at that root, and the compensation is added afterwards.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 _SCALE = math.log(10.0) / 400.0
 _BRACKET_MARGIN = 400.0
@@ -30,17 +31,20 @@ VALID_SCORES = (0.0, 0.5, 1.0)
 class MatchOutcome:
     opponent_rating: float
     score: float
+    subject_color: str = "b"  # the colour the rated side played
 
     def __post_init__(self):
         if not math.isfinite(self.opponent_rating):
             raise ValueError("opponent rating must be finite")
         if self.score not in VALID_SCORES:
             raise ValueError(f"score must be one of {VALID_SCORES}, got {self.score}")
+        if self.subject_color not in ("w", "b"):
+            raise ValueError(f"subject colour must be 'w' or 'b', got {self.subject_color!r}")
 
 
 @dataclass(frozen=True)
 class EloEstimate:
-    rating: float  # pre-offset root plus the white-advantage correction
+    rating: float  # the root (rating as black) plus the white-advantage correction
     standard_error: float
     ci_half_width: float  # 1.96 * standard_error
     white_advantage: float
@@ -76,7 +80,11 @@ def estimate_elo(outcomes, white_advantage: float = DEFAULT_WHITE_ADVANTAGE,
     to `tolerance` Elo. Without a sign change on that bracket (all wins or
     all losses) the estimate clamps to the bracket end and is flagged.
     """
-    outcomes = list(outcomes)
+    outcomes = [
+        replace(o, opponent_rating=o.opponent_rating - 2.0 * white_advantage, subject_color="b")
+        if o.subject_color == "w" else o
+        for o in outcomes
+    ]
     if not outcomes:
         raise ValueError("need at least one outcome")
     low = min(o.opponent_rating for o in outcomes) - _BRACKET_MARGIN
@@ -161,7 +169,7 @@ def outcomes_from_records(records, skill_map=None) -> list:
                 raise ValueError(f"skill {skill} missing from the skill map") from None
         else:
             rating = default_skill_rating(skill)
-        outcomes.append(MatchOutcome(opponent_rating=rating, score=record.score()))
+        outcomes.append(MatchOutcome(rating, record.score(), record.subject_color))
     return outcomes
 
 
@@ -183,13 +191,6 @@ def read_outcomes_csv(path) -> list:
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
     return outcomes
-
-
-def write_outcomes_csv(path, outcomes) -> None:
-    with open(path, "w") as handle:
-        handle.write("opponent_rating,score\n")
-        for outcome in outcomes:
-            handle.write(f"{outcome.opponent_rating:g},{outcome.score:g}\n")
 
 
 def _is_number(text: str) -> bool:

@@ -208,7 +208,6 @@ class UciEngine:
         self.movetime_ms = movetime_ms
         self.depth = depth
         self._proc: subprocess.Popen | None = None
-        self.name = ""
 
     def start(self) -> "UciEngine":
         try:
@@ -227,12 +226,8 @@ class UciEngine:
         killer.start()
         try:
             self._send("uci")
-            while True:
-                line = self._readline()
-                if line.startswith("id name "):
-                    self.name = line[len("id name "):]
-                if line == "uciok":
-                    break
+            while self._readline() != "uciok":
+                pass
             for name, value in self.options:
                 self._send(f"setoption name {name} value {value}")
             self._wait_ready()
@@ -274,6 +269,24 @@ class UciEngine:
         self._send("ucinewgame")
         self._wait_ready()
 
+    def _search(self, fen: str, go: str) -> tuple:
+        """Search from `fen` with the `go` line; return (last info score or None, bestmove tokens)."""
+        self._send(f"position fen {fen}")
+        self._send(go)
+        score = None
+        while True:
+            tokens = self._readline().split()
+            if not tokens:
+                continue
+            if tokens[0] == "info" and "score" in tokens:
+                at = tokens.index("score")
+                try:
+                    score = (tokens[at + 1], int(tokens[at + 2]))
+                except (IndexError, ValueError):
+                    pass
+            elif tokens[0] == "bestmove":
+                return score, tokens
+
     def bestmove(self, fen: str) -> str:
         """Search from `fen` and return the engine's move text."""
         go = "go"
@@ -281,15 +294,10 @@ class UciEngine:
             go += f" depth {self.depth}"
         if self.movetime_ms is not None:
             go += f" movetime {self.movetime_ms}"
-        self._send(f"position fen {fen}")
-        self._send(go)
-        while True:
-            line = self._readline()
-            if line.startswith("bestmove"):
-                parts = line.split()
-                if len(parts) < 2:
-                    raise ModelError("engine", f"bad bestmove line: {line!r}")
-                return parts[1]
+        _, tokens = self._search(fen, go)
+        if len(tokens) < 2:
+            raise ModelError("engine", f"bad bestmove line: {tokens[0]!r}")
+        return tokens[1]
 
     def evaluate(self, fen: str, depth: int):
         """Search from `fen`, returning ((kind, value), best move text or None).
@@ -297,23 +305,11 @@ class UciEngine:
         kind is "cp" or "mate", from the side to move's perspective as UCI
         defines it; value comes from the last info line of the search.
         """
-        self._send(f"position fen {fen}")
-        self._send(f"go depth {depth}")
-        score = None
-        while True:
-            line = self._readline()
-            tokens = line.split()
-            if tokens and tokens[0] == "info" and "score" in tokens:
-                at = tokens.index("score")
-                try:
-                    score = (tokens[at + 1], int(tokens[at + 2]))
-                except (IndexError, ValueError):
-                    pass
-            if tokens and tokens[0] == "bestmove":
-                if score is None or score[0] not in ("cp", "mate"):
-                    raise ModelError("engine", f"search returned no score for {fen}")
-                best = tokens[1] if len(tokens) > 1 else "(none)"
-                return score, None if best == "(none)" else best
+        score, tokens = self._search(fen, f"go depth {depth}")
+        if score is None or score[0] not in ("cp", "mate"):
+            raise ModelError("engine", f"search returned no score for {fen}")
+        best = tokens[1] if len(tokens) > 1 else "(none)"
+        return score, None if best == "(none)" else best
 
     def quit(self) -> None:
         """Ask the engine to exit (killing it after 5 s), reap it, close its pipes."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from . import runner
@@ -110,96 +111,64 @@ class AggregateStats:
     """Per-model metrics over one set of games.
 
     Percentages cover scorable games only; excluded games are counted but
-    never enter a denominator. Per-ply averages are over subject dialogs.
+    never enter a denominator. Per-1000 rates are over subject dialogs.
     """
 
     total_games: int
     excluded: int
-    llm_wins: int
-    opponent_wins: int
-    draws: int
     win_loss_percent: float
-    wrong_actions_pct: float
-    max_turns_pct: float
     instruction_pct: float
     mate_white_pct: float
     mate_black_pct: float
-    stalemate_pct: float
-    insufficient_material_pct: float
-    seventyfive_moves_pct: float
-    fivefold_repetition_pct: float
-    max_moves_pct: float
     draw_pct: float
     model_error_pct: float
     avg_plies: float
-    board_queries_per_ply: float
-    legal_move_queries_per_ply: float
-    illegal_moves_per_ply: float
-    unparsable_per_ply: float
-    wrong_actions_per_1000: float
-    wrong_moves_per_1000: float
+    wrong_actions_per_1000: float  # unparsable replies: hallucinated actions
+    wrong_moves_per_1000: float  # illegal move attempts
+
+
+# (termination, subject colour) of the games that white won by mate.
+_WHITE_MATED = {(runner.TERM_CHECKMATE_SUBJECT, "w"), (runner.TERM_CHECKMATE_OPPONENT, "b")}
 
 
 def aggregate(records) -> AggregateStats:
-    """Fold game records into the per-model metric set."""
-    records = list(records)
-    scorable = [r for r in records if not r.excluded]
-    excluded = len(records) - len(scorable)
-    if not scorable:
+    """Fold game records into the per-model metric set: count in one pass, divide once."""
+    ends = Counter()
+    excluded = mate_white = plies = dialogs = illegal = unparsable = 0
+    for r in records:
+        if r.excluded:
+            excluded += 1
+            continue
+        ends[r.termination] += 1
+        mate_white += (r.termination, r.subject_color) in _WHITE_MATED
+        plies += r.ply_count
+        dialogs += r.stats.subject_dialogs
+        illegal += r.stats.illegal_move_attempts
+        unparsable += r.stats.unparsable_replies
+    n = ends.total()
+    if not n:
         raise ValueError("no scorable records to aggregate")
-    n = len(scorable)
 
-    terminations = [r.termination for r in scorable]
-    count = terminations.count
-    wins = sum(1 for t in terminations if t in runner.WIN_TERMINATIONS)
-    losses = sum(1 for t in terminations if t in runner.LOSS_TERMINATIONS)
-    draws = sum(1 for t in terminations if t in runner.DRAW_TERMINATIONS)
+    def games(terminations) -> int:
+        return sum(ends[t] for t in terminations)
 
-    mate_white = sum(
-        1
-        for r in scorable
-        if (r.termination == runner.TERM_CHECKMATE_SUBJECT and r.subject_color == "w")
-        or (r.termination == runner.TERM_CHECKMATE_OPPONENT and r.subject_color == "b")
-    )
-    mate_black = count(runner.TERM_CHECKMATE_SUBJECT) + count(runner.TERM_CHECKMATE_OPPONENT) - mate_white
+    def per_1000(total: int) -> float:
+        return (total / dialogs if dialogs else 0.0) * 1000.0
 
-    def pct(games: int) -> float:
-        return games * 100.0 / n
-
-    dialogs = sum(r.stats.subject_dialogs for r in scorable)
-
-    def per_dialog(total: int) -> float:
-        return total / dialogs if dialogs else 0.0
-
-    total_illegal = sum(r.stats.illegal_move_attempts for r in scorable)
-    total_unparsable = sum(r.stats.unparsable_replies for r in scorable)
-
+    wins, losses = games(runner.WIN_TERMINATIONS), games(runner.LOSS_TERMINATIONS)
+    mates = ends[runner.TERM_CHECKMATE_SUBJECT] + ends[runner.TERM_CHECKMATE_OPPONENT]
     return AggregateStats(
         total_games=n,
         excluded=excluded,
-        llm_wins=wins,
-        opponent_wins=losses,
-        draws=draws,
         win_loss_percent=(0.5 * (wins - losses) / n + 0.5) * 100.0,
-        wrong_actions_pct=pct(count(runner.TERM_TOO_MANY_WRONG_ACTIONS)),
-        max_turns_pct=pct(count(runner.TERM_MAX_TURNS)),
-        instruction_pct=pct(sum(1 for t in terminations if t in runner.INSTRUCTION_TERMINATIONS)),
-        mate_white_pct=pct(mate_white),
-        mate_black_pct=pct(mate_black),
-        stalemate_pct=pct(count(runner.TERM_STALEMATE)),
-        insufficient_material_pct=pct(count(runner.TERM_INSUFFICIENT_MATERIAL)),
-        seventyfive_moves_pct=pct(count(runner.TERM_SEVENTYFIVE_MOVES)),
-        fivefold_repetition_pct=pct(count(runner.TERM_FIVEFOLD_REPETITION)),
-        max_moves_pct=pct(count(runner.TERM_MAX_MOVES)),
-        draw_pct=pct(draws),
-        model_error_pct=pct(count(runner.TERM_MODEL_ERROR)),
-        avg_plies=sum(r.ply_count for r in scorable) / n,
-        board_queries_per_ply=per_dialog(sum(r.stats.board_queries for r in scorable)),
-        legal_move_queries_per_ply=per_dialog(sum(r.stats.legal_move_queries for r in scorable)),
-        illegal_moves_per_ply=per_dialog(total_illegal),
-        unparsable_per_ply=per_dialog(total_unparsable),
-        wrong_actions_per_1000=per_dialog(total_unparsable) * 1000.0,
-        wrong_moves_per_1000=per_dialog(total_illegal) * 1000.0,
+        instruction_pct=games(runner.INSTRUCTION_TERMINATIONS) * 100.0 / n,
+        mate_white_pct=mate_white * 100.0 / n,
+        mate_black_pct=(mates - mate_white) * 100.0 / n,
+        draw_pct=games(runner.DRAW_TERMINATIONS) * 100.0 / n,
+        model_error_pct=ends[runner.TERM_MODEL_ERROR] * 100.0 / n,
+        avg_plies=plies / n,
+        wrong_actions_per_1000=per_1000(unparsable),
+        wrong_moves_per_1000=per_1000(illegal),
     )
 
 

@@ -16,7 +16,13 @@ from dataclasses import replace
 import pytest
 
 from agentchess import analysis, dialog, rules, runner
-from agentchess.analysis import AnalysisEngineConfig, analyze_game, judge, win_percent
+from agentchess.analysis import (
+    AnalysisEngineConfig,
+    evaluate_subject_plies,
+    judge,
+    summarize_evaluations,
+    win_percent,
+)
 from agentchess.dialog import DialogLimits, ProtocolVariant, build_game_loop_prompt, run_ply
 from agentchess.elo import MatchOutcome, estimate_elo, expected_score
 from agentchess.reporting import aggregate
@@ -301,16 +307,16 @@ def test_criterion_9_analysis_pipeline(tmp_path):
         config = AnalysisEngineConfig(command=(sys.executable, str(FAKE_UCI), str(script)))
         engine = config.spawn()
         try:
-            summary = analyze_game(record, engine, config.depth)
+            evaluations = evaluate_subject_plies(record, engine, config.depth)
         finally:
             engine.quit()
         wire = log_path.read_text().splitlines()
         assert wire.count("go depth 20") == 2 * k
-        assert summary.subject_plies == k
+        assert summarize_evaluations(evaluations).subject_plies == k
 
         # Perspective negation: the after-move score is the opponent's view.
         raw_after = 17
-        assert summary.evaluations[0].win_after == pytest.approx(
+        assert evaluations[0].win_after == pytest.approx(
             100.0 - win_percent(raw_after), abs=1e-9
         )
 
@@ -334,7 +340,7 @@ def test_criterion_9_analysis_pipeline(tmp_path):
         assert 20 <= eq1(200) - eq1(-50) < 30
         assert 10 <= eq1(100) - eq1(-50) < 20
         session = _ScriptedSession(responses)
-        profile = analyze_game(fixture, session)
+        profile = summarize_evaluations(evaluate_subject_plies(fixture, session))
         assert session.calls == 2000
         assert profile.blunder_rate == 4.2
         assert profile.mistake_rate == 1.1

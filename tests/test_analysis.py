@@ -12,7 +12,6 @@ from agentchess import analysis, reporting, rules
 from agentchess.analysis import (
     AnalysisEngineConfig,
     PlyEvaluation,
-    analyze_game,
     evaluate_subject_plies,
     judge,
     normalize_score,
@@ -131,16 +130,16 @@ def test_judge_improvement_is_none():
 # Game analysis over a scripted session.
 
 
-def test_analyze_game_makes_two_calls_per_subject_ply():
+def test_subject_plies_make_two_calls_each():
     record = subject_game_record()
     k = sum(1 for p in record.plies if p.mover == record.subject_color)
     session = ScriptedSession([(("cp", 0), None)] * (2 * k))
-    summary = analyze_game(record, session)
+    summary = summarize_evaluations(evaluate_subject_plies(record, session))
     assert session.calls == 2 * k
     assert summary.subject_plies == k
 
 
-def test_analyze_game_flat_scores_judge_none():
+def test_subject_plies_flat_scores_judge_none():
     record = subject_game_record()
     session = ScriptedSession([
         (("cp", 0), "e7e5"),   # before ply 1: best equals the played move
@@ -148,14 +147,15 @@ def test_analyze_game_flat_scores_judge_none():
         (("cp", 0), "a7a6"),   # before ply 2: best differs
         (("cp", 0), None),
     ])
-    summary = analyze_game(record, session)
-    assert [e.judgment for e in summary.evaluations] == ["none", "none"]
-    assert [e.is_best for e in summary.evaluations] == [True, False]
+    evaluations = evaluate_subject_plies(record, session)
+    summary = summarize_evaluations(evaluations)
+    assert [e.judgment for e in evaluations] == ["none", "none"]
+    assert [e.is_best for e in evaluations] == [True, False]
     assert summary.best_rate == 50.0
     assert summary.avg_win_percent == 50.0
 
 
-def test_analyze_game_swing_hand_computed():
+def test_subject_plies_swing_hand_computed():
     record = subject_game_record()
     # Subject to move at +200; after its move the opponent sees +200, which
     # is -200 for the subject.
@@ -165,8 +165,7 @@ def test_analyze_game_swing_hand_computed():
         (("cp", 0), "b8c6"),
         (("cp", 0), None),
     ])
-    summary = analyze_game(record, session)
-    first = summary.evaluations[0]
+    first = evaluate_subject_plies(record, session)[0]
     assert first.cp_before == 200
     assert first.cp_after == -200
     assert first.win_before == pytest.approx(eq1(200), abs=1e-9)
@@ -178,7 +177,7 @@ def test_analyze_game_swing_hand_computed():
     assert first.judgment == "blunder"
 
 
-def test_analyze_game_perspective_negation_symmetry():
+def test_subject_plies_perspective_negation_symmetry():
     record = subject_game_record()
     raw_after = 137
     session = ScriptedSession([
@@ -187,18 +186,18 @@ def test_analyze_game_perspective_negation_symmetry():
         (("cp", 0), None),
         (("cp", -raw_after), None),
     ])
-    summary = analyze_game(record, session)
+    evaluations = evaluate_subject_plies(record, session)
     # The after-move score is reported for the opponent; the subject's Win%
     # must be the 100 - x mirror of the opponent's.
-    assert summary.evaluations[0].win_after == pytest.approx(
+    assert evaluations[0].win_after == pytest.approx(
         100.0 - win_percent(raw_after), abs=1e-9
     )
-    assert summary.evaluations[1].win_after == pytest.approx(
+    assert evaluations[1].win_after == pytest.approx(
         100.0 - win_percent(-raw_after), abs=1e-9
     )
 
 
-def test_analyze_game_delivered_mate_counts_for_subject():
+def test_subject_plies_delivered_mate_counts_for_subject():
     record = subject_game_record()
     session = ScriptedSession([
         (("cp", 50), None),
@@ -206,12 +205,12 @@ def test_analyze_game_delivered_mate_counts_for_subject():
         (("cp", 0), None),
         (("cp", 0), None),
     ])
-    summary = analyze_game(record, session)
-    assert summary.evaluations[0].cp_after == 1000
-    assert summary.evaluations[0].judgment == "none"
+    first = evaluate_subject_plies(record, session)[0]
+    assert first.cp_after == 1000
+    assert first.judgment == "none"
 
 
-def test_analyze_game_evaluates_positions_in_order():
+def test_subject_plies_evaluate_positions_in_order():
     record = subject_game_record()
     seen = []
 

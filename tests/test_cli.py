@@ -206,6 +206,23 @@ def test_run_counts_below_one_are_config_errors(tmp_path, capsys, setting):
     assert not (tmp_path / "runs").exists()
 
 
+ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"opponent": {"kind": "scripted_moves"}}, "KeyError: 'moves'"),
+    ({"subject": {"kind": "moa", "proposers": [ENDPOINT]}}, "KeyError: 'synthesizer'"),
+    ({"subject": {**ENDPOINT, "timeout_s": "10"}}, "TypeError: "),
+    ({"games": "x"}, "ValueError: invalid literal for int()"),
+], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games"])
+def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
+    manifest = write_manifest(tmp_path, **overrides)
+    assert main(["run", "--config", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad manifest: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_engine_silent_in_its_handshake_times_out(tmp_path, capsys, monkeypatch):
     # The bare interpreter reads the piped `uci` as a script and never answers.
     monkeypatch.setattr(players, "HANDSHAKE_TIMEOUT_S", 0.5)
@@ -626,7 +643,8 @@ def test_elo_anchor_override_white_subject(tmp_path, capsys):
     assert main(["run", "--config", str(manifest)]) == 0
     log = tmp_path / "runs" / "games-skill-2.jsonl"
     assert main(["elo", str(log), "--anchor", "1=300"]) == 0
-    assert "rating=10.0" in capsys.readouterr().out  # default 375 for skill 2, - 400 + 35
+    # Default 375 for skill 2, less 2 * 35 for playing white, then - 400 + 35.
+    assert "rating=-60.0" in capsys.readouterr().out
 
 
 def test_elo_requires_exactly_one_source(tmp_path, capsys):

@@ -19,7 +19,6 @@ from agentchess.elo import (
     outcomes_from_records,
     read_outcomes_csv,
     score_diff,
-    write_outcomes_csv,
 )
 
 from conftest import make_record
@@ -112,11 +111,27 @@ def test_estimate_white_advantage_configurable():
     assert estimate_elo(outcomes, white_advantage=0.0).rating == pytest.approx(400, abs=1e-3)
 
 
+def test_estimate_offset_follows_the_subject_colour():
+    # An even score as white means weaker than the anchor, as black stronger.
+    as_white = estimate_elo([MatchOutcome(400, 1.0, "w"), MatchOutcome(400, 0.0, "w")])
+    as_black = estimate_elo([MatchOutcome(400, 1.0, "b"), MatchOutcome(400, 0.0, "b")])
+    assert as_white.rating == pytest.approx(400 - 35, abs=1e-3)
+    assert as_black.rating == pytest.approx(400 + 35, abs=1e-3)
+    assert as_white.standard_error == pytest.approx(as_black.standard_error, rel=1e-9)
+    records = [engine_record("checkmate_llm", 3, subject_color="w"),
+               engine_record("checkmate_opponent", 3, subject_color="w")]
+    outcomes = outcomes_from_records(records)
+    assert [o.subject_color for o in outcomes] == ["w", "w"]
+    assert estimate_elo(outcomes).rating == pytest.approx(500 - 35, abs=1e-3)
+
+
 def test_outcome_validation():
     with pytest.raises(ValueError):
         MatchOutcome(400, 0.7)
     with pytest.raises(ValueError):
         MatchOutcome(float("inf"), 1.0)
+    with pytest.raises(ValueError):
+        MatchOutcome(400, 1.0, "white")
 
 
 def test_monte_carlo_estimates_center_on_truth():
@@ -209,7 +224,7 @@ def test_outcomes_from_records_custom_map():
 def test_outcomes_csv_round_trip(tmp_path):
     path = tmp_path / "outcomes.csv"
     outcomes = [MatchOutcome(400, 1.0), MatchOutcome(400, 0.0), MatchOutcome(625, 0.5)]
-    write_outcomes_csv(path, outcomes)
+    path.write_text("opponent_rating,score\n400,1\n400,0\n625,0.5\n")
     assert read_outcomes_csv(path) == outcomes
 
 

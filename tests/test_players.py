@@ -215,7 +215,6 @@ def test_endpoint_config_validation():
 def test_engine_scripted_bestmove(tmp_path):
     config = fake_engine(tmp_path, [{"bestmove": "e7e5"}])
     with spawn_engine(config) as engine:
-        assert engine.name == "fake-uci"
         board = rules.apply_uci(rules.Board.initial(), "e2e4")
         assert engine_move(board, engine).uci() == "e7e5"
 

@@ -209,7 +209,7 @@ def cmd_run(args) -> int:
             raise ConfigError("parallelism must be at least 1")
         subject, model_id = subject_spec(manifest)
         cells = [(cell, game_config(manifest, subject, opp)) for cell, opp in opponent_cells(manifest)]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a field of the wrong shape
         raise ConfigError(f"bad manifest: {type(exc).__name__}: {exc}") from exc
     out_dir = manifest.get("out_dir", "runs")
     # One pool plays every cell's games, game i seeded seed + i. Only this thread

@@ -2,8 +2,8 @@
 
 Logs are append-only JSON lines, one self-contained entry per game: enough
 to recompute every per-game metric and replay the dialog. Aggregation
-produces the per-model numbers (Win/Loss, termination breakdown, action
-averages); percentages are stored at full precision and displayed at one
+produces the per-model numbers (Win/Loss, termination breakdown, wrong
+actions and moves per 1000 dialogs); percentages are stored at full precision and displayed at one
 decimal everywhere, with dot decimal separators regardless of locale.
 """
 from __future__ import annotations
@@ -128,7 +128,7 @@ class AggregateStats:
 
 
 # (termination, subject colour) of the games that white won by mate.
-_WHITE_MATED = {(runner.TERM_CHECKMATE_SUBJECT, "w"), (runner.TERM_CHECKMATE_OPPONENT, "b")}
+_MATE_BY_WHITE = {(runner.TERM_CHECKMATE_SUBJECT, "w"), (runner.TERM_CHECKMATE_OPPONENT, "b")}
 
 
 def aggregate(records) -> AggregateStats:
@@ -140,7 +140,7 @@ def aggregate(records) -> AggregateStats:
             excluded += 1
             continue
         ends[r.termination] += 1
-        mate_white += (r.termination, r.subject_color) in _WHITE_MATED
+        mate_white += (r.termination, r.subject_color) in _MATE_BY_WHITE
         plies += r.ply_count
         dialogs += r.stats.subject_dialogs
         illegal += r.stats.illegal_move_attempts

@@ -214,7 +214,9 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     ({"subject": {"kind": "moa", "proposers": [ENDPOINT]}}, "KeyError: 'synthesizer'"),
     ({"subject": {**ENDPOINT, "timeout_s": "10"}}, "TypeError: "),
     ({"games": "x"}, "ValueError: invalid literal for int()"),
-], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games"])
+    ({"opponent": "random"}, "AttributeError: "),
+], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
+        "text-opponent"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2

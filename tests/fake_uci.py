@@ -16,10 +16,12 @@ Takes a JSON script path as its only argument:
 
 Each `go` consumes the next response, printing its scripted `info` lines
 first, then an info line when a score is scripted; the last response repeats
-once the list is exhausted.
-With crash_after_go set, the Nth go kills the process instead, to simulate
-an engine crash mid-game. All received lines are appended to `log` when
-given, so tests can assert on the option handshake.
+once the list is exhausted. `ucinewgame` starts the list over, so a game's
+searches get the same responses whichever process serves them.
+With crash_after_go set to N, each go after the Nth this process receives
+kills it instead, to simulate an engine crash mid-game; the count survives
+`ucinewgame`. All received lines are appended to `log` when given, so tests
+can assert on the option handshake.
 """
 import json
 import sys
@@ -34,6 +36,7 @@ def main() -> None:
     log_path = script.get("log")
     crash_after = script.get("crash_after_go")
     go_count = 0
+    next_response = 0
 
     def log(line: str) -> None:
         if log_path:
@@ -53,11 +56,14 @@ def main() -> None:
             say("uciok")
         elif line == "isready":
             say("readyok")
+        elif line == "ucinewgame":
+            next_response = 0
         elif line.startswith("go"):
             go_count += 1
             if crash_after is not None and go_count > crash_after:
                 sys.exit(1)
-            entry = responses[min(go_count - 1, len(responses) - 1)]
+            entry = responses[min(next_response, len(responses) - 1)]
+            next_response += 1
             best = entry.get("bestmove", "(none)")
             for info in entry.get("info", ()):
                 say(info)

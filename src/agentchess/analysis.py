@@ -11,6 +11,7 @@ Analysis runs offline over stored records, never during play.
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import asdict, dataclass
 
 from . import reporting, rules
@@ -164,17 +165,23 @@ def evaluate_subject_plies(record, engine, depth: int = 20) -> list:
     return evaluations
 
 
-def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
-    """Score every game of one log file, in log order, on an engine of its own.
+def analyze_log(log_path, config: AnalysisEngineConfig, engines) -> tuple:
+    """Score every game of one log file, in log order, on one engine.
 
-    Returns (read diagnostics, sidecar rows, {model_id: evaluations}). The
-    log streams through reporting.read_log into the engine. The engine starts
-    a new game before each game's searches, so a game's rows depend only on
-    the game. A bad record or an engine fault marks the game `unanalyzed` and
-    the next game goes on; an engine that fails to start raises ModelError.
+    Returns (read diagnostics, sidecar rows, {model_id: evaluations}).
+    `engines` is a queue of idle started engines shared by the workers: the
+    log takes one, or spawns one when none is idle, and puts it back when
+    done. The log streams through reporting.read_log into the engine. The
+    engine starts a new game before each game's searches, so a game's rows
+    depend only on the game. A bad record or an engine fault marks the game
+    `unanalyzed` and the next game goes on, on a fresh engine after a fault;
+    an engine that fails to start for the first game raises ModelError.
     Prints nothing and writes no file.
     """
-    engine = config.spawn()
+    try:
+        engine = engines.get_nowait()
+    except queue.Empty:
+        engine = config.spawn()
     try:
         diagnostics, rows, collected = [], [], {}
         for index, (entry, record) in enumerate(reporting.read_log(log_path, diagnostics)):
@@ -183,10 +190,15 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
                 rows.append({**row, "unanalyzed": record})
                 continue
             try:
+                if engine is None:  # the one before faulted
+                    engine = config.spawn()
                 engine.new_game()
                 evaluations = evaluate_subject_plies(record, engine, config.depth)
-            except Exception as exc:  # engine fault: flag and move on
+            except Exception as exc:  # engine fault: flag the game, drop the engine, move on
                 rows.append({**row, "unanalyzed": str(exc)})
+                if engine is not None:
+                    engine.quit()
+                    engine = None
                 continue
             if not evaluations:
                 rows.append({**row, "unanalyzed": "no subject plies"})
@@ -194,5 +206,6 @@ def analyze_log(log_path, config: AnalysisEngineConfig) -> tuple:
             collected.setdefault(row["model_id"], []).extend(evaluations)
             rows.extend({**row, **asdict(e)} for e in evaluations)  # one row per scored ply
     finally:
-        engine.quit()
+        if engine is not None:
+            engines.put(engine)
     return diagnostics, rows, collected

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import os
+import queue
 import shlex
 import shutil
 import sys
@@ -254,11 +255,13 @@ def cmd_analyze(args) -> int:
     config = _analysis_engine(args)
     by_model: dict = {}
     failed = False
-    # One engine per log file, up to one file per CPU. Results are taken in
-    # argument order, so the output is the same as a serial run's.
+    # Up to one log file per CPU at a time. A log borrows an idle engine from
+    # `engines` or starts one, so no more engines run than workers. Results are
+    # taken in argument order, so the output is the same as a serial run's.
     pool = ThreadPoolExecutor(max_workers=min(len(args.logs), _usable_cpus()))
+    engines = queue.SimpleQueue()
     try:
-        futures = [pool.submit(analysis.analyze_log, path, config) for path in args.logs]
+        futures = [pool.submit(analysis.analyze_log, path, config, engines) for path in args.logs]
         for log_path, future in zip(args.logs, futures):
             try:
                 diagnostics, rows, collected = future.result()
@@ -282,6 +285,8 @@ def cmd_analyze(args) -> int:
         return 130
     finally:
         pool.shutdown(cancel_futures=True)  # files not yet started are dropped
+        while not engines.empty():  # every worker has put its engine back
+            engines.get().quit()
     for model_id, evaluations in sorted(by_model.items()):  # one summary per model, all logs
         summary = analysis.summarize_evaluations(evaluations)
         print(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 import sys
 
 import pytest
@@ -294,7 +295,7 @@ def test_analysis_engine_config_spawns_with_exact_options(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# One log file on its own engine.
+# One log file on an engine from the shared queue.
 
 
 def test_analyze_log_starts_a_new_game_before_each_game(tmp_path):
@@ -308,7 +309,9 @@ def test_analyze_log_starts_a_new_game_before_each_game(tmp_path):
         "log": str(received),
     }))
     config = AnalysisEngineConfig(command=(sys.executable, str(FAKE_UCI), str(script)), depth=3)
-    diagnostics, rows, collected = analysis.analyze_log(log, config)
+    engines = queue.SimpleQueue()
+    diagnostics, rows, collected = analysis.analyze_log(log, config, engines)
+    engines.get_nowait().quit()
     assert diagnostics == []
     assert [(r["game_index"], r["ply_index"]) for r in rows] == [(0, 1), (0, 3), (1, 1), (1, 3)]
     assert [e.ply_index for e in collected["mock"]] == [1, 3, 1, 3]
@@ -320,3 +323,15 @@ def test_analyze_log_starts_a_new_game_before_each_game(tmp_path):
         assert game[:2] == ["ucinewgame", "isready"] and game[2].startswith("position fen ")
         assert sum(line == "go depth 3" for line in game) == 4  # two searches per subject ply
     assert "position" not in " ".join(lines[:starts[0]])
+
+
+def test_analyze_log_returns_its_engine_when_the_log_cannot_be_read(tmp_path):
+    config = AnalysisEngineConfig(command=(sys.executable, str(FAKE_UCI)), depth=3)
+    engines = queue.SimpleQueue()
+    with pytest.raises(OSError):
+        analysis.analyze_log(tmp_path / "missing.jsonl", config, engines)
+    engine = engines.get_nowait()
+    try:
+        engine.new_game()  # still running
+    finally:
+        engine.quit()

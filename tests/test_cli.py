@@ -419,11 +419,11 @@ def test_analyze_pool_output_matches_one_worker(tmp_path, capsys, monkeypatch):
     all_started = threading.Barrier(len(logs), timeout=30)
     analyze_log = analysis.analyze_log
 
-    def first_log_last(log_path, config):
+    def first_log_last(log_path, *args):
         if log_path == logs[0]:
             all_started.wait()
-            return analyze_log(log_path, config)
-        result = analyze_log(log_path, config)
+            return analyze_log(log_path, *args)
+        result = analyze_log(log_path, *args)
         all_started.wait()
         return result
 
@@ -438,17 +438,35 @@ def test_analyze_pool_output_matches_one_worker(tmp_path, capsys, monkeypatch):
     assert out.count("model=") == 4
 
 
-def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys):
+def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # each log starts an engine of its own
     logs = scripted_logs(tmp_path, capsys, (3, 1))  # 18 and 6 searches
     clean = analyze_outputs(logs, fake_engine_cmdline(tmp_path, VARIED_RESPONSES), capsys)
     crashing = fake_engine_cmdline(tmp_path, VARIED_RESPONSES, name="crash.json", crash_after_go=8)
     code, _, _, sidecars = analyze_outputs(logs, crashing, capsys)
     assert code == 0
     rows = [json.loads(line) for line in sidecars[0].splitlines()]
-    assert [r["game_index"] for r in rows if "ply_index" in r] == [0, 0, 0]
-    assert [r["game_index"] for r in rows if "unanalyzed" in r] == [1, 2]
-    assert sidecars[0] != clean[3][0]
+    assert [r["game_index"] for r in rows if "ply_index" in r] == [0, 0, 0, 2, 2, 2]
+    assert [r for r in rows if "unanalyzed" in r] == [
+        {"game_index": 1, "model_id": "mock-2", "unanalyzed": "engine: engine terminated unexpectedly"}
+    ]
+    clean_rows = [json.loads(line) for line in clean[3][0].splitlines()]
+    # The game after the crash is scored on a fresh engine, as in a clean run.
+    assert [r for r in rows if r["game_index"] == 2] == [r for r in clean_rows if r["game_index"] == 2]
     assert sidecars[1] == clean[3][1]
+
+
+def test_analyze_reuses_one_engine_across_logs(tmp_path, capsys, monkeypatch):
+    logs = scripted_logs(tmp_path, capsys, (1, 2, 1, 1))
+    received = tmp_path / "received.txt"
+    engine = fake_engine_cmdline(tmp_path, VARIED_RESPONSES, log=str(received))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    code, _, _, sidecars = analyze_outputs(logs, engine, capsys)
+    assert code == 0
+    assert [len(s.splitlines()) for s in sidecars] == [3, 6, 3, 3]
+    lines = received.read_text().splitlines()
+    assert lines.count("uci") == 1 and lines.count("quit") == 1
+    assert lines.count("ucinewgame") == 5
 
 
 BAD_ENTRY = '{"schema_version": 1, "model_id": "m", "record": {"plies": []}}\n'
@@ -554,15 +572,18 @@ def test_analyze_interrupt_keeps_sidecars_already_written(tmp_path, capsys, monk
     logs = scripted_logs(tmp_path, capsys, (1, 1, 1))
     analyze_log = analysis.analyze_log
 
-    def interrupt_after_first(log_path, config):
+    def interrupt_after_first(log_path, *args):
         if log_path != logs[0]:
             raise KeyboardInterrupt
-        return analyze_log(log_path, config)
+        return analyze_log(log_path, *args)
 
     monkeypatch.setattr(analysis, "analyze_log", interrupt_after_first)
-    assert main(["analyze", *logs, "--engine", fake_engine_cmdline(tmp_path)]) == 130
+    received = tmp_path / "received.txt"
+    assert main(["analyze", *logs, "--engine", fake_engine_cmdline(tmp_path, log=str(received))]) == 130
     assert "interrupted" in capsys.readouterr().err
     assert [Path(log + ".analysis.jsonl").exists() for log in logs] == [True, False, False]
+    lines = received.read_text().splitlines()
+    assert lines.count("uci") == lines.count("quit") >= 1  # every engine started is quit
 
 
 def test_analyze_closes_engine_pipes(tmp_path, capsys):

@@ -71,6 +71,13 @@ def _engine_command(entry: dict) -> tuple:
     return tuple(command)
 
 
+def _as_list(key: str, value) -> list:
+    """A manifest field that must be a JSON list; text would be iterated letter by letter."""
+    if not isinstance(value, list):
+        raise ConfigError(f"bad manifest: {key} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 def subject_spec(manifest: dict):
     """Build the measured player's spec; returns (spec, model_id)."""
     entry = manifest.get("subject")
@@ -81,7 +88,7 @@ def subject_spec(manifest: dict):
         config = _endpoint_config(entry)
         return runner.EndpointSpec(config), config.model
     if kind == "moa":
-        proposers = tuple(_endpoint_config(p) for p in entry.get("proposers", []))
+        proposers = tuple(_endpoint_config(p) for p in _as_list("proposers", entry.get("proposers", [])))
         if not proposers:
             raise ConfigError("moa subject needs at least one proposer")
         config = MoAConfig(
@@ -91,7 +98,7 @@ def subject_spec(manifest: dict):
         model_id = entry.get("name") or f"moa-{len(proposers)}x-{config.synthesizer.model}"
         return runner.MoASpec(config), model_id
     if kind == "scripted":
-        replies = entry.get("replies")
+        replies = _as_list("replies", entry.get("replies", []))
         if not replies:
             raise ConfigError("scripted subject needs a replies list")
         return (
@@ -110,10 +117,11 @@ def opponent_cells(manifest: dict) -> list:
     if kind == "random":
         return [("random", runner.RandomSpec())]
     if kind == "scripted_moves":
-        return [("scripted", runner.ScriptedMoverSpec(tuple(entry["moves"])))]
+        return [("scripted", runner.ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
     if kind == "engine":
         command = _engine_command(entry)
-        skills = entry.get("skills") or ([entry["skill"]] if "skill" in entry else [None])
+        skills = _as_list("skills", entry.get("skills", []))
+        skills = skills or ([entry["skill"]] if "skill" in entry else [None])
         cells = []
         for skill in skills:
             config = EngineConfig(
@@ -210,16 +218,16 @@ def cmd_run(args) -> int:
             raise ConfigError("parallelism must be at least 1")
         subject, model_id = subject_spec(manifest)
         cells = [(cell, game_config(manifest, subject, opp)) for cell, opp in opponent_cells(manifest)]
+        out_dir = manifest.get("out_dir", "runs")
+        log_paths = [os.path.join(out_dir, f"games-{cell}.jsonl") for cell, _ in cells]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a field of the wrong shape
         raise ConfigError(f"bad manifest: {type(exc).__name__}: {exc}") from exc
-    out_dir = manifest.get("out_dir", "runs")
     # One pool plays every cell's games, game i seeded seed + i. Only this thread
     # writes logs and prints, in cell then game order, so neither depends on parallelism.
     configs = [replace(cfg, seed=cfg.seed + i) for _, cfg in cells for i in range(games)]
     with closing(runner.play_games(configs, parallelism)) as played:
         try:
-            for cell, _ in cells:
-                log_path = os.path.join(out_dir, f"games-{cell}.jsonl")
+            for (cell, _), log_path in zip(cells, log_paths):
                 records = []
                 for index, record in enumerate(itertools.islice(played, games)):
                     reporting.append_log(log_path, reporting.record_to_entry(record, model_id))

@@ -215,8 +215,15 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     ({"subject": {**ENDPOINT, "timeout_s": "10"}}, "TypeError: "),
     ({"games": "x"}, "ValueError: invalid literal for int()"),
     ({"opponent": "random"}, "AttributeError: "),
+    ({"out_dir": 5}, "TypeError: expected str, bytes or os.PathLike object, not int"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "skills": "ab"}},
+     "skills must be a JSON list, not str"),
+    ({"subject": {"kind": "scripted", "replies": "abc"}}, "replies must be a JSON list, not str"),
+    ({"opponent": {"kind": "scripted_moves", "moves": "e2e4"}}, "moves must be a JSON list, not str"),
+    ({"subject": {"kind": "moa", "proposers": "p", "synthesizer": ENDPOINT}},
+     "proposers must be a JSON list, not str"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
-        "text-opponent"])
+        "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2

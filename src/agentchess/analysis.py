@@ -175,7 +175,7 @@ def analyze_log(log_path, config: AnalysisEngineConfig, engines) -> tuple:
     engine starts a new game before each game's searches, so a game's rows
     depend only on the game. A bad record or an engine fault marks the game
     `unanalyzed` and the next game goes on, on a fresh engine after a fault;
-    an engine that fails to start for the first game raises ModelError.
+    an engine that fails to start before the first game raises ModelError.
     Prints nothing and writes no file.
     """
     try:

@@ -379,8 +379,8 @@ def test_analyze_flags_games_without_subject_plies(tmp_path, capsys):
     assert rows == [{"game_index": 0, "model_id": "query-loop", "unanalyzed": "no subject plies"}]
 
 
-# A stateful engine: each search takes the next score, so rows would change if
-# an engine's searches crossed log files.
+# A stateful engine: each search of a game takes the next score, so rows would
+# change if a game's searches did not start after its own `ucinewgame`.
 VARIED_RESPONSES = [
     {"score": "cp 30", "bestmove": "e7e5"},
     {"score": "cp -250", "bestmove": "d7d5"},
@@ -460,6 +460,7 @@ def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys, monkeypa
     clean_rows = [json.loads(line) for line in clean[3][0].splitlines()]
     # The game after the crash is scored on a fresh engine, as in a clean run.
     assert [r for r in rows if r["game_index"] == 2] == [r for r in clean_rows if r["game_index"] == 2]
+    assert sidecars[0] != clean[3][0]
     assert sidecars[1] == clean[3][1]
 
 

@@ -25,6 +25,15 @@ from agentchess.players import (
     strip_thinking,
 )
 
+from agentchess.runner import (
+    EndpointSpec,
+    EngineSpec,
+    MoASpec,
+    RandomSpec,
+    ScriptedDialogSpec,
+    ScriptedMoverSpec,
+)
+
 from chat_server import chat_server
 from conftest import FAKE_UCI, FIXTURES
 
@@ -373,3 +382,34 @@ def test_moa_requires_proposers():
 
 def test_moa_default_prompt_matches_fixture():
     assert prompts.MOA_SYNTHESIZER_PROMPT == (FIXTURES / "moa_synthesizer_prompt.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Player kinds as they appear in a log.
+
+
+_ENGINE_COMMAND = ("stockfish", "--threads", "1")
+_SYNTH = LLMEndpointConfig("http://synth", "synth")
+
+
+@pytest.mark.parametrize("player, is_dialog, described", [
+    (RandomSpec(), False, {"kind": "random"}),
+    (EngineSpec(EngineConfig(_ENGINE_COMMAND)), False,
+     {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": None}),
+    (EngineSpec(EngineConfig(_ENGINE_COMMAND, skill=3, skill_option="Skill Level")), False,
+     {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": 3}),
+    (EndpointSpec(LLMEndpointConfig("http://host/v1", "m", reasoning_effort="low")), True,
+     {"kind": "endpoint", "model": "m", "base_url": "http://host/v1", "reasoning_effort": "low"}),
+    (MoASpec(MoAConfig(proposers=(LLMEndpointConfig("http://a", "p1"),
+                                  LLMEndpointConfig("http://b", "p2")), synthesizer=_SYNTH)), True,
+     {"kind": "moa", "proposers": ["p1", "p2"], "synthesizer": "synth"}),
+    (ScriptedDialogSpec(("get_legal_moves", "make_move e7e5"), cycle=False), True,
+     {"kind": "scripted_dialog", "replies": 2}),
+    (ScriptedMoverSpec(("e2e4", "d2d4")), False,
+     {"kind": "scripted_mover", "moves": ["e2e4", "d2d4"]}),
+], ids=["random", "engine-no-skill", "engine-skill", "endpoint", "moa", "scripted-dialog",
+        "scripted-mover"])
+def test_player_kind_logged_form(player, is_dialog, described):
+    assert player.is_dialog is is_dialog
+    # Key order too: it is the order of the logged JSON.
+    assert list(player.describe().items()) == list(described.items())

@@ -21,7 +21,8 @@ from contextlib import closing
 from dataclasses import replace
 
 from . import analysis, dialog, elo, reporting, runner
-from .players import EngineConfig, LLMEndpointConfig, MoAConfig, ModelError
+from .players import (EngineConfig, LLMEndpointConfig, MoAConfig, ModelError, RandomSpec,
+                      ScriptedDialogSpec, ScriptedMoverSpec)
 
 
 class ConfigError(Exception):
@@ -79,14 +80,14 @@ def _as_list(key: str, value) -> list:
 
 
 def subject_spec(manifest: dict):
-    """Build the measured player's spec; returns (spec, model_id)."""
+    """Build the measured player; returns (player, model_id)."""
     entry = manifest.get("subject")
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError("manifest needs a subject with a kind")
     kind = entry["kind"]
     if kind == "endpoint":
         config = _endpoint_config(entry)
-        return runner.EndpointSpec(config), config.model
+        return config, config.model
     if kind == "moa":
         proposers = tuple(_endpoint_config(p) for p in _as_list("proposers", entry.get("proposers", [])))
         if not proposers:
@@ -96,28 +97,28 @@ def subject_spec(manifest: dict):
             synthesizer=_endpoint_config(entry["synthesizer"]),
         )
         model_id = entry.get("name") or f"moa-{len(proposers)}x-{config.synthesizer.model}"
-        return runner.MoASpec(config), model_id
+        return config, model_id
     if kind == "scripted":
         replies = _as_list("replies", entry.get("replies", []))
         if not replies:
             raise ConfigError("scripted subject needs a replies list")
         return (
-            runner.ScriptedDialogSpec(tuple(replies), cycle=entry.get("cycle", True)),
+            ScriptedDialogSpec(tuple(replies), cycle=entry.get("cycle", True)),
             entry.get("name", "scripted"),
         )
     if kind == "random":
-        return runner.RandomSpec(), entry.get("name", "random")
+        return RandomSpec(), entry.get("name", "random")
     raise ConfigError(f"unknown subject kind {kind!r}")
 
 
 def opponent_cells(manifest: dict) -> list:
-    """Expand the opponent entry into (cell_name, spec) grid cells."""
+    """Expand the opponent entry into (cell_name, player) grid cells."""
     entry = manifest.get("opponent", {"kind": "random"})
     kind = entry.get("kind", "random")
     if kind == "random":
-        return [("random", runner.RandomSpec())]
+        return [("random", RandomSpec())]
     if kind == "scripted_moves":
-        return [("scripted", runner.ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
+        return [("scripted", ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
     if kind == "engine":
         command = _engine_command(entry)
         skills = _as_list("skills", entry.get("skills", []))
@@ -132,7 +133,7 @@ def opponent_cells(manifest: dict) -> list:
                 depth=entry.get("depth"),
             )
             name = "engine" if skill is None else f"skill-{skill}"
-            cells.append((name, runner.EngineSpec(config)))
+            cells.append((name, config))
         return cells
     raise ConfigError(f"unknown opponent kind {kind!r}")
 

@@ -1,4 +1,4 @@
-"""Move and reply providers: random agent, UCI engines, chat endpoints, MoA.
+"""Player kinds: random agent, UCI engines, chat endpoints, MoA, scripts.
 
 Endpoint clients speak the de-facto open chat-completion wire shape: POST
 {base_url}/chat/completions with a model name and role/content messages,
@@ -9,11 +9,14 @@ machine-readable reason; callers never see a fabricated reply.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import re
 import subprocess
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import requests
@@ -31,7 +34,23 @@ class ModelError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Random agent.
+# Player kinds. A player is frozen and shared by every game of a cell; play()
+# owns one game's resources (an engine session, a place in a script) and
+# yields that game's function: reply(messages) for dialog players,
+# choose_move(board, rng) for movers. Only dialog players, which are always
+# the measured subject, append token usage to `usage`. describe() is the
+# player's entry in a logged game config.
+
+
+def _next_or_fail(items, reason: str, detail: str):
+    try:
+        return next(items)
+    except StopIteration:
+        raise ModelError(reason, detail) from None
+
+
+# ---------------------------------------------------------------------------
+# Random and scripted players.
 
 
 def random_move(board, rng) -> rules.Move:
@@ -40,6 +59,53 @@ def random_move(board, rng) -> rules.Move:
     if not moves:
         raise ValueError("no legal moves to choose from")
     return rng.choice(moves)
+
+
+@dataclass(frozen=True)
+class RandomSpec:
+    is_dialog = False
+
+    @contextmanager
+    def play(self, usage):
+        yield random_move
+
+    def describe(self):
+        return {"kind": "random"}
+
+
+@dataclass(frozen=True)
+class ScriptedDialogSpec:
+    """Canned dialog replies, for harness tests and offline smoke runs."""
+
+    replies: tuple
+    cycle: bool = True
+    is_dialog = True
+
+    @contextmanager
+    def play(self, usage):
+        replies = itertools.cycle(self.replies) if self.cycle else iter(self.replies)
+        yield lambda messages: _next_or_fail(replies, "transport", "scripted replies exhausted")
+
+    def describe(self):
+        return {"kind": "scripted_dialog", "replies": len(self.replies)}
+
+
+@dataclass(frozen=True)
+class ScriptedMoverSpec:
+    """Canned UCI moves played in order, for deterministic opponents."""
+
+    moves: tuple
+    is_dialog = False
+
+    @contextmanager
+    def play(self, usage):
+        moves = iter(self.moves)
+        yield lambda board, rng: rules.Move.from_uci(
+            _next_or_fail(moves, "engine", "scripted moves exhausted")
+        )
+
+    def describe(self):
+        return {"kind": "scripted_mover", "moves": list(self.moves)}
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +130,25 @@ class LLMEndpointConfig:
     timeout_s: float = 600.0
     max_retries: int = 0
     api_key_env: str = "AGENTCHESS_API_KEY"
+    is_dialog = True
 
     def __post_init__(self):
         if self.temperature is not None and self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
+
+    @contextmanager
+    def play(self, usage):
+        yield functools.partial(llm_reply, cfg=self, usage_log=usage)
+
+    def describe(self):
+        return {
+            "kind": "endpoint",
+            "model": self.model,
+            "base_url": self.base_url,
+            "reasoning_effort": self.reasoning_effort,
+        }
 
 
 _THINK_BLOCK = re.compile(r"<think(?:ing)?>.*?</think(?:ing)?>", re.DOTALL)
@@ -146,6 +225,19 @@ class MoAConfig:
 
     proposers: tuple
     synthesizer: LLMEndpointConfig
+    is_dialog = True
+
+    @contextmanager
+    def play(self, usage):
+        reply_fn = functools.partial(llm_reply, usage_log=usage)
+        yield lambda messages: moa_reply(messages, self, reply_fn)
+
+    def describe(self):
+        return {
+            "kind": "moa",
+            "proposers": [p.model for p in self.proposers],
+            "synthesizer": self.synthesizer.model,
+        }
 
 
 def moa_reply(messages, cfg: MoAConfig, reply_fn=llm_reply) -> str:
@@ -193,6 +285,15 @@ class EngineConfig:
     skill_option: str = "Skill"
     movetime_ms: int | None = 1000
     depth: int | None = None
+    is_dialog = False
+
+    @contextmanager
+    def play(self, usage):
+        with spawn_engine(self) as engine:
+            yield lambda board, rng: engine_move(board, engine)
+
+    def describe(self):
+        return {"kind": "engine", "command": list(self.command), "skill": self.skill}
 
 
 class UciEngine:
@@ -358,3 +459,4 @@ def engine_move(board, engine: UciEngine) -> rules.Move:
     if move not in rules.legal_moves(board):
         raise ModelError("engine", f"illegal bestmove {text!r} in {rules.render_fen(board)}")
     return move
+

@@ -1,7 +1,8 @@
 """Full-game orchestration: alternate plys, enforce caps, classify endings.
 
-A game couples two player specs (shared by every game of a run; each game
-gets fresh players from them), a dialog configuration, and one seed. The
+A game couples two players (frozen, shared by every game of a run; each
+game's play() yields fresh resources; the kinds live in `players`), a
+dialog configuration, and one seed. The
 measured subject is the dialog player when there is one, otherwise the
 configured subject color (black by default, matching the usual harness
 setup). Every way a game can end maps to exactly one termination reason,
@@ -10,29 +11,17 @@ and every reason maps to win, draw or loss for the subject.
 from __future__ import annotations
 
 import collections
-import functools
-import itertools
 import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import dialog, rules
 from .dialog import DialogLimits, PlyTranscript, ProtocolVariant
-from .players import (
-    EngineConfig,
-    LLMEndpointConfig,
-    MoAConfig,
-    ModelError,
-    engine_move,
-    llm_reply,
-    moa_reply,
-    random_move,
-    spawn_engine,
-)
+from .players import ModelError
 
 # Termination reasons. The draw identifiers reuse the rules module's status
 # kinds so status mapping is the identity for draws.
@@ -77,125 +66,6 @@ def score_for_termination(termination: str) -> float:
     if termination in LOSS_TERMINATIONS:
         return 0.0
     raise ValueError(f"unknown termination {termination!r}")
-
-
-# ---------------------------------------------------------------------------
-# Player specs. A spec is frozen and shared by every game of a cell; play()
-# owns one game's resources (an engine session, a place in a script) and
-# yields that game's function: reply(messages) for dialog players,
-# choose_move(board, rng) for movers. Only dialog players, which are always
-# the measured subject, append token usage to `usage`.
-
-
-def _next_or_fail(items, reason: str, detail: str):
-    try:
-        return next(items)
-    except StopIteration:
-        raise ModelError(reason, detail) from None
-
-
-@dataclass(frozen=True)
-class RandomSpec:
-    is_dialog = False
-
-    @contextmanager
-    def play(self, usage):
-        yield random_move
-
-    def describe(self):
-        return {"kind": "random"}
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    config: EngineConfig
-    is_dialog = False
-
-    @contextmanager
-    def play(self, usage):
-        with spawn_engine(self.config) as engine:
-            yield lambda board, rng: engine_move(board, engine)
-
-    def describe(self):
-        return {
-            "kind": "engine",
-            "command": list(self.config.command),
-            "skill": self.config.skill,
-        }
-
-
-@dataclass(frozen=True)
-class EndpointSpec:
-    config: LLMEndpointConfig
-    is_dialog = True
-
-    @contextmanager
-    def play(self, usage):
-        yield functools.partial(llm_reply, cfg=self.config, usage_log=usage)
-
-    def describe(self):
-        return {
-            "kind": "endpoint",
-            "model": self.config.model,
-            "base_url": self.config.base_url,
-            "reasoning_effort": self.config.reasoning_effort,
-        }
-
-
-@dataclass(frozen=True)
-class MoASpec:
-    config: MoAConfig
-    is_dialog = True
-
-    @contextmanager
-    def play(self, usage):
-        reply_fn = functools.partial(llm_reply, usage_log=usage)
-        yield lambda messages: moa_reply(messages, self.config, reply_fn)
-
-    def describe(self):
-        return {
-            "kind": "moa",
-            "proposers": [p.model for p in self.config.proposers],
-            "synthesizer": self.config.synthesizer.model,
-        }
-
-
-@dataclass(frozen=True)
-class ScriptedDialogSpec:
-    """Canned dialog replies, for harness tests and offline smoke runs."""
-
-    replies: tuple
-    cycle: bool = True
-    is_dialog = True
-
-    @contextmanager
-    def play(self, usage):
-        replies = itertools.cycle(self.replies) if self.cycle else iter(self.replies)
-        yield lambda messages: _next_or_fail(replies, "transport", "scripted replies exhausted")
-
-    def describe(self):
-        return {"kind": "scripted_dialog", "replies": len(self.replies)}
-
-
-@dataclass(frozen=True)
-class ScriptedMoverSpec:
-    """Canned UCI moves played in order, for deterministic opponents."""
-
-    moves: tuple
-    is_dialog = False
-
-    @contextmanager
-    def play(self, usage):
-        moves = iter(self.moves)
-        yield lambda board, rng: rules.Move.from_uci(
-            _next_or_fail(moves, "engine", "scripted moves exhausted")
-        )
-
-    def describe(self):
-        return {"kind": "scripted_mover", "moves": list(self.moves)}
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

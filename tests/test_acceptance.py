@@ -26,7 +26,8 @@ from agentchess.analysis import (
 from agentchess.dialog import DialogLimits, ProtocolVariant, build_game_loop_prompt, run_ply
 from agentchess.elo import MatchOutcome, estimate_elo, expected_score
 from agentchess.reporting import aggregate
-from agentchess.runner import GameConfig, RandomSpec, play_games
+from agentchess.players import RandomSpec, ScriptedDialogSpec, ScriptedMoverSpec
+from agentchess.runner import GameConfig, play_games
 
 from conftest import FAKE_UCI, FIXTURES, make_record, random_playout
 
@@ -290,8 +291,8 @@ def test_criterion_9_analysis_pipeline(tmp_path):
     with criterion("9", "analysis: 2k engine calls, perspective flip, exact rates"):
         # 2k scoring calls, counted at the UCI wire with a scripted engine.
         cfg = GameConfig(
-            white=runner.ScriptedMoverSpec(("e2e4", "d2d4", "g1f3")),
-            black=runner.ScriptedDialogSpec(
+            white=ScriptedMoverSpec(("e2e4", "d2d4", "g1f3")),
+            black=ScriptedDialogSpec(
                 ("make_move e7e5", "make_move b8c6", "make_move g8f6"), cycle=False
             ),
         )

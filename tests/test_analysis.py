@@ -19,7 +19,8 @@ from agentchess.analysis import (
     summarize_evaluations,
     win_percent,
 )
-from agentchess.runner import GameConfig, ScriptedDialogSpec, ScriptedMoverSpec, play_game
+from agentchess.players import ScriptedDialogSpec, ScriptedMoverSpec
+from agentchess.runner import GameConfig, play_game
 
 from conftest import FAKE_UCI
 

@@ -168,7 +168,7 @@ def test_run_seeds_each_cell_from_the_manifest_seed(tmp_path, capsys):
     entries = read_jsonl(tmp_path / "runs" / "games-random.jsonl")
     assert [e["record"]["config"]["seed"] for e in entries] == [1000, 1001, 1002, 1003, 1004]
     # Any single game is replayable in isolation from its recorded seed.
-    random = runner.RandomSpec()
+    random = players.RandomSpec()
     replay = runner.play_game(runner.GameConfig(white=random, black=random, seed=1002))
     assert runner.record_from_dict(entries[2]["record"]).fingerprint() == replay.fingerprint()
 

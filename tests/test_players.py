@@ -16,6 +16,9 @@ from agentchess.players import (
     LLMEndpointConfig,
     MoAConfig,
     ModelError,
+    RandomSpec,
+    ScriptedDialogSpec,
+    ScriptedMoverSpec,
     UciEngine,
     engine_move,
     llm_reply,
@@ -23,15 +26,6 @@ from agentchess.players import (
     random_move,
     spawn_engine,
     strip_thinking,
-)
-
-from agentchess.runner import (
-    EndpointSpec,
-    EngineSpec,
-    MoASpec,
-    RandomSpec,
-    ScriptedDialogSpec,
-    ScriptedMoverSpec,
 )
 
 from chat_server import chat_server
@@ -394,14 +388,14 @@ _SYNTH = LLMEndpointConfig("http://synth", "synth")
 
 @pytest.mark.parametrize("player, is_dialog, described", [
     (RandomSpec(), False, {"kind": "random"}),
-    (EngineSpec(EngineConfig(_ENGINE_COMMAND)), False,
+    (EngineConfig(_ENGINE_COMMAND), False,
      {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": None}),
-    (EngineSpec(EngineConfig(_ENGINE_COMMAND, skill=3, skill_option="Skill Level")), False,
+    (EngineConfig(_ENGINE_COMMAND, skill=3, skill_option="Skill Level"), False,
      {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": 3}),
-    (EndpointSpec(LLMEndpointConfig("http://host/v1", "m", reasoning_effort="low")), True,
+    (LLMEndpointConfig("http://host/v1", "m", reasoning_effort="low"), True,
      {"kind": "endpoint", "model": "m", "base_url": "http://host/v1", "reasoning_effort": "low"}),
-    (MoASpec(MoAConfig(proposers=(LLMEndpointConfig("http://a", "p1"),
-                                  LLMEndpointConfig("http://b", "p2")), synthesizer=_SYNTH)), True,
+    (MoAConfig(proposers=(LLMEndpointConfig("http://a", "p1"),
+                          LLMEndpointConfig("http://b", "p2")), synthesizer=_SYNTH), True,
      {"kind": "moa", "proposers": ["p1", "p2"], "synthesizer": "synth"}),
     (ScriptedDialogSpec(("get_legal_moves", "make_move e7e5"), cycle=False), True,
      {"kind": "scripted_dialog", "replies": 2}),

@@ -18,7 +18,8 @@ from agentchess.reporting import (
     read_log,
     record_to_entry,
 )
-from agentchess.runner import GameConfig, RandomSpec, ScriptedDialogSpec, play_game
+from agentchess.players import RandomSpec, ScriptedDialogSpec
+from agentchess.runner import GameConfig, play_game
 
 from conftest import make_record
 

@@ -9,16 +9,18 @@ from dataclasses import dataclass, replace
 import pytest
 
 from agentchess import rules, runner
-from agentchess.players import EngineConfig, ModelError
-from agentchess.runner import (
-    COUNT_MODEL_ERRORS_AS_LOSS,
-    EXCLUDE_MODEL_ERRORS,
-    EngineSpec,
-    GameConfig,
-    GameRecord,
+from agentchess.players import (
+    EngineConfig,
+    ModelError,
     RandomSpec,
     ScriptedDialogSpec,
     ScriptedMoverSpec,
+)
+from agentchess.runner import (
+    COUNT_MODEL_ERRORS_AS_LOSS,
+    EXCLUDE_MODEL_ERRORS,
+    GameConfig,
+    GameRecord,
     play_game,
     play_games,
     record_from_dict,
@@ -46,18 +48,16 @@ class RaisingDialogSpec:
         return {"kind": "raising", "reason": self.reason}
 
 
-def crashing_engine_spec(tmp_path) -> EngineSpec:
+def crashing_engine_spec(tmp_path) -> EngineConfig:
     script = tmp_path / "crash.json"
     script.write_text(json.dumps({"responses": [{"bestmove": "e2e4"}], "crash_after_go": 0}))
-    return EngineSpec(EngineConfig(command=(sys.executable, str(FAKE_UCI), str(script))))
+    return EngineConfig(command=(sys.executable, str(FAKE_UCI), str(script)))
 
 
-def scripted_engine_spec(tmp_path, moves, name="engine.json", skill=None) -> EngineSpec:
+def scripted_engine_spec(tmp_path, moves, name="engine.json", skill=None) -> EngineConfig:
     script = tmp_path / name
     script.write_text(json.dumps({"responses": [{"bestmove": m} for m in moves]}))
-    return EngineSpec(
-        EngineConfig(command=(sys.executable, str(FAKE_UCI), str(script)), skill=skill)
-    )
+    return EngineConfig(command=(sys.executable, str(FAKE_UCI), str(script)), skill=skill)
 
 
 def test_fools_mate_checkmate_by_subject():
@@ -302,13 +302,12 @@ def test_record_round_trips_through_dict():
 
 def test_endpoint_subject_usage_recorded():
     from agentchess.players import LLMEndpointConfig
-    from agentchess.runner import EndpointSpec
     from chat_server import chat_server
 
     with chat_server() as (url, _):
         cfg = GameConfig(
             white=RandomSpec(),
-            black=EndpointSpec(LLMEndpointConfig(url, "fixed:banana", timeout_s=10.0)),
+            black=LLMEndpointConfig(url, "fixed:banana", timeout_s=10.0),
         )
         record = play_game(cfg)
     assert record.termination == "too_many_wrong_actions"
@@ -320,14 +319,13 @@ def test_endpoint_subject_usage_recorded():
 
 def test_moa_subject_usage_covers_every_call():
     from agentchess.players import LLMEndpointConfig, MoAConfig
-    from agentchess.runner import MoASpec
     from chat_server import chat_server
 
     with chat_server() as (url, server):
         banana = LLMEndpointConfig(url, "fixed:banana", timeout_s=10.0)
         cfg = GameConfig(
             white=RandomSpec(),
-            black=MoASpec(MoAConfig(proposers=(banana, banana), synthesizer=banana)),
+            black=MoAConfig(proposers=(banana, banana), synthesizer=banana),
         )
         record = play_game(cfg)
     assert record.termination == "too_many_wrong_actions"
@@ -338,7 +336,7 @@ def test_moa_subject_usage_covers_every_call():
 
 @pytest.mark.parametrize("policy", [COUNT_MODEL_ERRORS_AS_LOSS, EXCLUDE_MODEL_ERRORS])
 def test_engine_that_fails_to_start_is_a_recorded_model_error(policy):
-    dead = EngineSpec(EngineConfig(command=(sys.executable, "-c", "pass")))
+    dead = EngineConfig(command=(sys.executable, "-c", "pass"))
     records = list(play_games(cell(
         GameConfig(white=dead, black=ScriptedDialogSpec(("make_move e7e5",)), error_policy=policy),
         2,

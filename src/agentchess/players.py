@@ -81,6 +81,13 @@ class ScriptedDialogSpec:
     cycle: bool = True
     is_dialog = True
 
+    def __post_init__(self):  # a wrong-shaped script is refused before any game starts
+        for reply in self.replies:
+            if not isinstance(reply, str):
+                raise TypeError(f"scripted replies must be text, not {type(reply).__name__}")
+        if not isinstance(self.cycle, bool):
+            raise TypeError(f"cycle must be true or false, not {type(self.cycle).__name__}")
+
     @contextmanager
     def play(self, usage):
         replies = itertools.cycle(self.replies) if self.cycle else iter(self.replies)
@@ -96,6 +103,12 @@ class ScriptedMoverSpec:
 
     moves: tuple
     is_dialog = False
+
+    def __post_init__(self):
+        for move in self.moves:
+            if not isinstance(move, str):
+                raise TypeError(f"scripted moves must be text, not {type(move).__name__}")
+            rules.Move.from_uci(move)  # a MoveParseError names the bad move
 
     @contextmanager
     def play(self, usage):

@@ -222,8 +222,15 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     ({"opponent": {"kind": "scripted_moves", "moves": "e2e4"}}, "moves must be a JSON list, not str"),
     ({"subject": {"kind": "moa", "proposers": "p", "synthesizer": ENDPOINT}},
      "proposers must be a JSON list, not str"),
+    ({"opponent": {"kind": "scripted_moves", "moves": ["zz"]}}, "MoveParseError: bad uci: 'zz'"),
+    ({"opponent": {"kind": "scripted_moves", "moves": [5]}},
+     "TypeError: scripted moves must be text, not int"),
+    ({"subject": {"kind": "scripted", "replies": [5]}}, "TypeError: scripted replies must be text, not int"),
+    ({"subject": {"kind": "scripted", "replies": ["get_current_board"], "cycle": "no"}},
+     "TypeError: cycle must be true or false, not str"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
-        "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers"])
+        "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers",
+        "non-uci-move", "number-move", "number-reply", "text-cycle"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2

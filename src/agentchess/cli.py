@@ -330,19 +330,14 @@ def cmd_elo(args) -> int:
             outcomes = elo.read_outcomes_csv(args.outcomes)
         else:
             records = [record for _, record in _read_games(args.logs)]
-            skill_map = None
-            if args.anchor:
-                overrides = {}
-                for pair in args.anchor:
-                    skill_text, _, rating_text = pair.partition("=")
-                    try:
-                        overrides[int(skill_text)] = float(rating_text)
-                    except ValueError:
-                        raise ConfigError(f"bad --anchor {pair!r}, expected SKILL=ELO") from None
-                skills = {elo.opponent_skill(r) for r in records} | set(overrides)
-                skills.discard(None)
-                skill_map = elo.build_skill_map(sorted(skills), overrides)
-            outcomes = elo.outcomes_from_records(records, skill_map)
+            anchors = {}
+            for pair in args.anchor or ():
+                skill_text, _, rating_text = pair.partition("=")
+                try:
+                    anchors[int(skill_text)] = float(rating_text)
+                except ValueError:
+                    raise ConfigError(f"bad --anchor {pair!r}, expected SKILL=ELO") from None
+            outcomes = elo.outcomes_from_records(records, anchors)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not outcomes:

@@ -145,32 +145,21 @@ def opponent_skill(record):
     return opponent.get("skill") if opponent.get("kind") == "engine" else None
 
 
-def outcomes_from_records(records, skill_map=None) -> list:
+def outcomes_from_records(records, anchors=None) -> list:
     """Scoreable records against engine opponents, as rated outcomes.
 
     Wins map to 1, draws (the 100-move cap included) to 0.5, and losses of
     every flavor (chess, instruction, model error) to 0; records flagged
     excluded are skipped. Engine skill metadata is required to anchor the
-    opponent's rating.
+    opponent's rating: the default table, with `anchors` (skill -> rating)
+    overriding it, and strictly increasing over every skill either names.
     """
-    outcomes = []
-    for record in records:
-        if record.excluded:
-            continue
-        skill = opponent_skill(record)
-        if skill is None:
-            raise ValueError(
-                "record lacks engine-skill metadata; Elo needs rated engine opponents"
-            )
-        if skill_map is not None:
-            try:
-                rating = skill_map[skill]
-            except KeyError:
-                raise ValueError(f"skill {skill} missing from the skill map") from None
-        else:
-            rating = default_skill_rating(skill)
-        outcomes.append(MatchOutcome(rating, record.score(), record.subject_color))
-    return outcomes
+    scored = [r for r in records if not r.excluded]
+    skills = [opponent_skill(r) for r in scored]
+    if None in skills:
+        raise ValueError("record lacks engine-skill metadata; Elo needs rated engine opponents")
+    ratings = build_skill_map(sorted(set(skills) | set(anchors or ())), anchors)
+    return [MatchOutcome(ratings[s], r.score(), r.subject_color) for r, s in zip(scored, skills)]
 
 
 def read_outcomes_csv(path) -> list:

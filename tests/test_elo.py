@@ -215,10 +215,10 @@ def test_outcomes_from_records_requires_engine_skill():
 
 def test_outcomes_from_records_custom_map():
     records = [engine_record("checkmate_llm", 5)]
-    outcomes = outcomes_from_records(records, skill_map={5: 900.0})
+    outcomes = outcomes_from_records(records, anchors={5: 900.0})
     assert outcomes[0].opponent_rating == 900.0
-    with pytest.raises(ValueError):
-        outcomes_from_records(records, skill_map={1: 250.0})
+    with pytest.raises(ValueError):  # skill 5 keeps its default 750, below the skill-1 anchor
+        outcomes_from_records(records, anchors={1: 1000.0})
 
 
 def test_outcomes_csv_round_trip(tmp_path):

@@ -158,7 +158,7 @@ def outcomes_from_records(records, anchors=None) -> list:
     skills = [opponent_skill(r) for r in scored]
     if None in skills:
         raise ValueError("record lacks engine-skill metadata; Elo needs rated engine opponents")
-    ratings = build_skill_map(sorted(set(skills) | set(anchors or ())), anchors)
+    ratings = build_skill_map(set(skills) | set(anchors or ()), anchors)
     return [MatchOutcome(ratings[s], r.score(), r.subject_color) for r, s in zip(scored, skills)]
 
 

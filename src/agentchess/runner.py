@@ -1,12 +1,12 @@
 """Full-game orchestration: alternate plys, enforce caps, classify endings.
 
-A game couples two players (frozen, shared by every game of a run; each
-game's play() yields fresh resources; the kinds live in `players`), a
-dialog configuration, and one seed. The
-measured subject is the dialog player when there is one, otherwise the
-configured subject color (black by default, matching the usual harness
-setup). Every way a game can end maps to exactly one termination reason,
-and every reason maps to win, draw or loss for the subject.
+A game couples two players, a dialog configuration, and one seed. A player
+is shared by every game of a run, and its play() gives each game fresh
+resources; the player kinds live in `players`. The measured subject is the
+dialog player when there is one, otherwise the configured subject color
+(black by default, matching the usual harness setup). Every way a game
+can end maps to exactly one termination reason, and every reason maps to
+win, draw or loss for the subject.
 """
 from __future__ import annotations
 

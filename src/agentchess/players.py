@@ -10,18 +10,22 @@ machine-readable reason; callers never see a fabricated reply.
 from __future__ import annotations
 
 import functools
+import http.client
 import itertools
+import json
+import math
 import os
 import re
 import subprocess
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import requests
-
-from . import prompts, rules
+from . import __version__, prompts, rules
 
 
 class ModelError(Exception):
@@ -145,11 +149,19 @@ class LLMEndpointConfig:
     api_key_env: str = "AGENTCHESS_API_KEY"
     is_dialog = True
 
-    def __post_init__(self):
+    def __post_init__(self):  # a NaN would fail every call, and JSON manifests accept NaN
+        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise ValueError(f"base_url must be an http or https URL, not {self.base_url!r}")
+        for name in ("temperature", "top_p", "timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.temperature is not None and self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(f"max_retries must be a whole number >= 0, not {self.max_retries!r}")
 
     @contextmanager
     def play(self, usage):
@@ -196,25 +208,32 @@ def llm_reply(messages, cfg: LLMEndpointConfig, usage_log: list | None = None) -
         payload["temperature"] = cfg.temperature
     if cfg.reasoning_effort is not None:
         payload["reasoning_effort"] = cfg.reasoning_effort
-    headers = {}
+    data = json.dumps(payload, allow_nan=False).encode()
+    headers = {"Content-Type": "application/json", "User-Agent": f"agentchess/{__version__}"}
     token = os.environ.get(cfg.api_key_env, "") if cfg.api_key_env else ""
     if token:
         headers["Authorization"] = f"Bearer {token}"
 
     last_error: ModelError | None = None
     for _ in range(cfg.max_retries + 1):
-        try:
-            response = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout as exc:
-            raise ModelError("timeout", str(exc)) from exc
-        except requests.RequestException as exc:
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+        try:  # urllib sends `Connection: close`: one connection per call
+            with urllib.request.urlopen(request, timeout=cfg.timeout_s) as response:
+                status, raw = response.status, response.read()
+        except urllib.error.HTTPError as exc:  # a status >= 400 or an unfollowed redirect
+            exc.close()
+            last_error = ModelError("transport", f"HTTP {exc.code}")
+            continue
+        except (OSError, http.client.HTTPException) as exc:  # OSError covers URLError
+            if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                raise ModelError("timeout", str(exc)) from exc
             last_error = ModelError("transport", str(exc))
             continue
-        if response.status_code != 200:
-            last_error = ModelError("transport", f"HTTP {response.status_code}")
+        if status != 200:
+            last_error = ModelError("transport", f"HTTP {status}")
             continue
         try:
-            body = response.json()
+            body = json.loads(raw)  # detects UTF-8/16/32 from the bytes
             message = body["choices"][0]["message"]
             content = message["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -224,7 +243,6 @@ def llm_reply(messages, cfg: LLMEndpointConfig, usage_log: list | None = None) -
         if usage_log is not None and isinstance(body.get("usage"), dict):
             usage_log.append(body["usage"])
         return strip_thinking(content)
-    assert last_error is not None
     raise last_error
 
 
@@ -299,6 +317,10 @@ class EngineConfig:
     movetime_ms: int | None = 1000
     depth: int | None = None
     is_dialog = False
+
+    def __post_init__(self):  # a text skill would play and then break Elo's skill ratings
+        if self.skill is not None and type(self.skill) is not int:
+            raise TypeError(f"skill must be an integer, not {type(self.skill).__name__}")
 
     @contextmanager
     def play(self, usage):

@@ -1,7 +1,8 @@
 """In-process chat-completion server for endpoint client tests.
 
 Behavior is selected by the requested model name, so one server covers every
-scenario; every request body and its headers are recorded for assertions.
+scenario; every request body (raw bytes and parsed) and its headers are
+recorded for assertions.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
-        body = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
+        body = json.loads(raw or b"{}")
         self.server.requests.append(
-            {"path": self.path, "body": body, "headers": dict(self.headers)}
+            {"path": self.path, "raw": raw, "body": body, "headers": dict(self.headers)}
         )
         model = body.get("model", "echo")
         messages = body.get("messages", [])
@@ -42,6 +44,22 @@ class _Handler(BaseHTTPRequestHandler):
                 self.end_headers()
             else:
                 self._reply_text("recovered")
+        elif model == "http-202":
+            self._reply_json({"choices": [{"message": {"content": "queued"}}]}, status=202)
+        elif model == "slow-body":  # headers and half the body now, the rest after 1 s
+            raw = json.dumps({"choices": [{"message": {"content": "late"}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw[: len(raw) // 2])
+            self.wfile.flush()
+            time.sleep(1.0)
+            self.wfile.write(raw[len(raw) // 2:])
+        elif model == "not-utf8":
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(b'{"choices": [{"message": {"content": "\xff\xfe"}}]}')
         elif model == "malformed":
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -73,9 +91,9 @@ class _Handler(BaseHTTPRequestHandler):
             "usage": {"prompt_tokens": 7, "completion_tokens": 3},
         })
 
-    def _reply_json(self, payload):
+    def _reply_json(self, payload, status=200):
         raw = json.dumps(payload).encode()
-        self.send_response(200)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()

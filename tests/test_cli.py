@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +17,21 @@ from agentchess import analysis, cli, players, runner
 from agentchess.cli import main
 
 from conftest import FAKE_UCI
+
+
+def test_cli_imports_only_the_standard_library():
+    # A third-party import would add its own start-up time to every run.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import agentchess.cli\n"
+        "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "agentchess" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"agentchess"}
 
 
 def write_manifest(tmp_path, **overrides):
@@ -228,9 +245,20 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     ({"subject": {"kind": "scripted", "replies": [5]}}, "TypeError: scripted replies must be text, not int"),
     ({"subject": {"kind": "scripted", "replies": ["get_current_board"], "cycle": "no"}},
      "TypeError: cycle must be true or false, not str"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "skills": ["a"]}},
+     "TypeError: skill must be an integer, not str"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "skills": [1.5]}},
+     "TypeError: skill must be an integer, not float"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "skills": [True]}},
+     "TypeError: skill must be an integer, not bool"),
+    ({"subject": {**ENDPOINT, "temperature": float("nan")}}, "ValueError: temperature must be finite, not nan"),
+    ({"subject": {**ENDPOINT, "top_p": float("inf")}}, "ValueError: top_p must be finite, not inf"),
+    ({"subject": {**ENDPOINT, "timeout_s": float("nan")}}, "ValueError: timeout_s must be finite, not nan"),
+    ({"subject": {**ENDPOINT, "max_retries": -1}}, "ValueError: max_retries must be a whole number >= 0, not -1"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
         "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers",
-        "non-uci-move", "number-move", "number-reply", "text-cycle"])
+        "non-uci-move", "number-move", "number-reply", "text-cycle", "text-skill", "fractional-skill",
+        "bool-skill", "nan-temperature", "infinite-top-p", "nan-timeout", "negative-retries"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2

@@ -3,14 +3,17 @@ from __future__ import annotations
 import gc
 import json
 import random
+import socket
+import subprocess
 import sys
 import time
+import urllib.request
 import warnings
 from collections import Counter
 
 import pytest
 
-from agentchess import players, prompts, rules
+from agentchess import __version__, players, prompts, rules
 from agentchess.players import (
     EngineConfig,
     LLMEndpointConfig,
@@ -92,13 +95,16 @@ def test_llm_reply_echoes_mock_endpoint():
 
 
 def test_llm_reply_and_test_server_leave_no_socket_open():
-    def one_reply():  # returns, so nothing it held outlives the check below
+    def one_reply(model):  # returns, so nothing it held outlives the check below
         with chat_server() as (url, _):
-            return llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "echo"))
+            try:
+                return llm_reply([{"role": "user", "content": "hi"}], endpoint(url, model, timeout_s=0.2))
+            except ModelError as exc:
+                return exc.reason
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        assert one_reply() == "hi"
+        assert [one_reply(m) for m in ("echo", "http-500", "sleep")] == ["hi", "transport", "timeout"]
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
@@ -119,6 +125,45 @@ def test_llm_reply_http_error_is_transport():
         with pytest.raises(ModelError) as exc:
             llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "http-500"))
     assert exc.value.reason == "transport"
+
+
+def test_llm_reply_timeout_while_reading_the_body():
+    with chat_server() as (url, _):
+        with pytest.raises(ModelError) as exc:
+            llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "slow-body", timeout_s=0.2))
+    assert exc.value.reason == "timeout"
+
+
+def test_llm_reply_success_status_other_than_200_is_transport():
+    with chat_server() as (url, _):
+        with pytest.raises(ModelError) as exc:
+            llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "http-202"))
+    assert (exc.value.reason, exc.value.detail) == ("transport", "HTTP 202")
+
+
+def test_llm_reply_refused_connection_is_transport_and_retried(monkeypatch):
+    with socket.socket() as probe:  # a port that was free a moment ago, now closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    real_urlopen, attempts = urllib.request.urlopen, []
+
+    def counting_urlopen(request, **kwargs):
+        attempts.append(request.full_url)
+        return real_urlopen(request, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+    cfg = endpoint(f"http://127.0.0.1:{port}", "echo", max_retries=2)
+    with pytest.raises(ModelError) as exc:
+        llm_reply([{"role": "user", "content": "hi"}], cfg)
+    assert exc.value.reason == "transport"
+    assert attempts == [f"http://127.0.0.1:{port}/chat/completions"] * 3
+
+
+def test_llm_reply_non_utf8_body_is_malformed():
+    with chat_server() as (url, _):
+        with pytest.raises(ModelError) as exc:
+            llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "not-utf8"))
+    assert exc.value.reason == "malformed"
 
 
 def test_llm_reply_malformed_body():
@@ -151,15 +196,19 @@ def test_llm_reply_no_retry_by_default():
 
 def test_llm_reply_payload_fields_and_auth(monkeypatch):
     monkeypatch.setenv("AGENTCHESS_API_KEY", "sekret")
+    messages = [{"role": "user", "content": "hi \u265e"}]
     with chat_server() as (url, server):
         cfg = endpoint(url, "echo", temperature=0.3, top_p=1.0, reasoning_effort="low")
-        llm_reply([{"role": "user", "content": "hi"}], cfg)
-    body = server.requests[0]["body"]
-    assert body["temperature"] == 0.3
-    assert body["top_p"] == 1.0
-    assert body["reasoning_effort"] == "low"
-    assert server.requests[0]["headers"]["Authorization"] == "Bearer sekret"
-    assert server.requests[0]["path"] == "/chat/completions"
+        llm_reply(messages, cfg)
+    (request,) = server.requests
+    payload = {
+        "model": "echo", "messages": messages, "top_p": 1.0, "temperature": 0.3, "reasoning_effort": "low",
+    }
+    assert request["raw"] == json.dumps(payload, allow_nan=False).encode()
+    assert request["headers"]["Authorization"] == "Bearer sekret"
+    assert request["headers"]["Content-Type"] == "application/json"
+    assert request["headers"]["User-Agent"] == f"agentchess/{__version__}"
+    assert request["path"] == "/chat/completions"
 
 
 def test_llm_reply_omits_temperature_when_none(monkeypatch):
@@ -209,6 +258,17 @@ def test_endpoint_config_validation():
         LLMEndpointConfig(base_url="http://x", model="m", temperature=-1)
     with pytest.raises(ValueError):
         LLMEndpointConfig(base_url="http://x", model="m", timeout_s=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", float("nan")), ("temperature", float("inf")), ("top_p", float("nan")),
+    ("top_p", float("-inf")), ("timeout_s", float("nan")), ("timeout_s", float("inf")),
+    ("max_retries", -1), ("max_retries", 1.5), ("max_retries", True), ("base_url", "127.0.0.1:9"),
+    ("base_url", "ftp://x"),
+])
+def test_endpoint_config_refuses_values_no_call_could_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        LLMEndpointConfig(**{"base_url": "http://x", "model": "m", field: value})
 
 
 # ---------------------------------------------------------------------------

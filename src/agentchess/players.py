@@ -149,10 +149,10 @@ class LLMEndpointConfig:
     api_key_env: str = "AGENTCHESS_API_KEY"
     is_dialog = True
 
-    def __post_init__(self):  # a NaN would fail every call, and JSON manifests accept NaN
-        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+    def __post_init__(self):
+        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):  # not file: or ftp:
             raise ValueError(f"base_url must be an http or https URL, not {self.base_url!r}")
-        for name in ("temperature", "top_p", "timeout_s"):
+        for name in ("temperature", "top_p", "timeout_s"):  # JSON manifests accept NaN and Infinity
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value}")

@@ -17,6 +17,12 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep pytest output clean
         pass
 
+    def handle(self):
+        try:
+            super().handle()
+        except (BrokenPipeError, ConnectionResetError):  # the client timed out and left
+            pass
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length)

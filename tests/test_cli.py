@@ -28,8 +28,8 @@ def test_cli_imports_only_the_standard_library():
         "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    loaded = set(out.split())
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
     assert "agentchess" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"agentchess"}
 
@@ -251,10 +251,13 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
      "TypeError: skill must be an integer, not float"),
     ({"opponent": {"kind": "engine", "command": sys.executable, "skills": [True]}},
      "TypeError: skill must be an integer, not bool"),
-    ({"subject": {**ENDPOINT, "temperature": float("nan")}}, "ValueError: temperature must be finite, not nan"),
+    ({"subject": {**ENDPOINT, "temperature": float("nan")}},
+     "ValueError: temperature must be finite, not nan"),
     ({"subject": {**ENDPOINT, "top_p": float("inf")}}, "ValueError: top_p must be finite, not inf"),
-    ({"subject": {**ENDPOINT, "timeout_s": float("nan")}}, "ValueError: timeout_s must be finite, not nan"),
-    ({"subject": {**ENDPOINT, "max_retries": -1}}, "ValueError: max_retries must be a whole number >= 0, not -1"),
+    ({"subject": {**ENDPOINT, "timeout_s": float("nan")}},
+     "ValueError: timeout_s must be finite, not nan"),
+    ({"subject": {**ENDPOINT, "max_retries": -1}},
+     "ValueError: max_retries must be a whole number >= 0, not -1"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
         "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers",
         "non-uci-move", "number-move", "number-reply", "text-cycle", "text-skill", "fractional-skill",

@@ -7,10 +7,15 @@ recorded for assertions.
 from __future__ import annotations
 
 import json
+import ssl
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+TLS_DIR = Path(__file__).parent / "fixtures" / "tls"  # self-signed for localhost and 127.0.0.1
+TLS_CERT = TLS_DIR / "localhost-cert.pem"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -50,6 +55,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self.end_headers()
             else:
                 self._reply_text("recovered")
+        elif model == "redirect-307":  # to this same path; urllib follows no POST redirect
+            self.send_response(307)
+            self.send_header("Location", self.path)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif model == "http-202":
             self._reply_json({"choices": [{"message": {"content": "queued"}}]}, status=202)
         elif model == "slow-body":  # headers and half the body now, the rest after 1 s
@@ -107,14 +117,19 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def chat_server():
+def chat_server(tls: bool = False):
+    """Serve on a free loopback port; with tls, over HTTPS with the TLS_CERT certificate."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_DIR / "localhost-key.pem")
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     server.requests = []
     server.flaky_count = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}", server
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}", server
     finally:
         server.shutdown()
         thread.join()

@@ -4,6 +4,7 @@ import gc
 import json
 import random
 import socket
+import ssl
 import subprocess
 import sys
 import time
@@ -31,7 +32,7 @@ from agentchess.players import (
     strip_thinking,
 )
 
-from chat_server import chat_server
+from chat_server import TLS_CERT, chat_server
 from conftest import FAKE_UCI, FIXTURES
 
 
@@ -141,22 +142,65 @@ def test_llm_reply_success_status_other_than_200_is_transport():
     assert (exc.value.reason, exc.value.detail) == ("transport", "HTTP 202")
 
 
+def test_llm_reply_post_redirect_is_not_followed():
+    with chat_server() as (url, server):
+        with pytest.raises(ModelError) as exc:
+            llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "redirect-307"))
+    assert (exc.value.reason, exc.value.detail) == ("transport", "HTTP 307")
+    assert len(server.requests) == 1
+
+
 def test_llm_reply_refused_connection_is_transport_and_retried(monkeypatch):
     with socket.socket() as probe:  # a port that was free a moment ago, now closed
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    real_urlopen, attempts = urllib.request.urlopen, []
+    real_open, attempts = urllib.request.OpenerDirector.open, []
 
-    def counting_urlopen(request, **kwargs):
+    def counting_open(opener, request, *args, **kwargs):
         attempts.append(request.full_url)
-        return real_urlopen(request, **kwargs)
+        return real_open(opener, request, *args, **kwargs)
 
-    monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", counting_open)
     cfg = endpoint(f"http://127.0.0.1:{port}", "echo", max_retries=2)
     with pytest.raises(ModelError) as exc:
         llm_reply([{"role": "user", "content": "hi"}], cfg)
     assert exc.value.reason == "transport"
     assert attempts == [f"http://127.0.0.1:{port}/chat/completions"] * 3
+
+
+@pytest.fixture
+def fresh_openers():
+    players._opener.cache_clear()  # the next https call builds its TLS context anew
+    yield
+    players._opener.cache_clear()
+
+
+def test_llm_reply_over_tls_loads_the_ca_store_once(monkeypatch, fresh_openers):
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    real_load, loads = ssl.SSLContext.load_default_certs, []
+
+    def counting_load(context, *args, **kwargs):
+        loads.append(context)
+        return real_load(context, *args, **kwargs)
+
+    monkeypatch.setattr(ssl.SSLContext, "load_default_certs", counting_load)
+    with chat_server(tls=True) as (url, server):
+        replies = [llm_reply([{"role": "user", "content": f"hi {i}"}], endpoint(url, "echo")) for i in range(3)]
+    assert url.startswith("https://")
+    assert replies == ["hi 0", "hi 1", "hi 2"]
+    assert len(server.requests) == 3
+    assert len(loads) == 1  # urlopen's own handler loads it for every connection
+
+
+def test_llm_reply_untrusted_certificate_is_transport(monkeypatch, fresh_openers):
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)  # the system store lacks the test certificate
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    with chat_server(tls=True) as (url, server):
+        with pytest.raises(ModelError) as exc:
+            llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "echo"))
+    assert exc.value.reason == "transport"
+    assert "CERTIFICATE_VERIFY_FAILED" in exc.value.detail
+    assert server.requests == []
 
 
 def test_llm_reply_non_utf8_body_is_malformed():

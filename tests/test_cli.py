@@ -121,6 +121,28 @@ def test_run_engine_grid_one_log_per_skill(tmp_path, capsys):
         )
 
 
+START_POSITION = "position fen rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
+
+
+@pytest.mark.parametrize("settings, handshake, go", [
+    ({"skills": [3], "movetime_ms": 250}, ["setoption name Skill value 3"], "go movetime 250"),
+    ({"depth": 4, "movetime_ms": None}, [], "go depth 4"),
+    ({"depth": 4}, [], "go depth 4 movetime 1000"),
+], ids=["skill-movetime", "depth-only", "depth-movetime"])
+def test_run_sends_the_engine_exactly_these_lines(tmp_path, capsys, settings, handshake, go):
+    received = tmp_path / "received.txt"
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}], log=str(received))
+    manifest = write_manifest(
+        tmp_path,
+        subject={"kind": "scripted", "replies": ["banana"], "name": "hopeless"},
+        opponent={"kind": "engine", "command": engine, **settings},
+        games=1,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    # The engine moves first as white; the subject then loses on wrong actions.
+    assert received.read_text().splitlines() == ["uci", *handshake, "isready", START_POSITION, go, "quit"]
+
+
 def test_run_flags_override_manifest(tmp_path, capsys):
     manifest = write_manifest(tmp_path, games=9, seed=0)
     out_dir = tmp_path / "other"
@@ -398,6 +420,35 @@ def test_analyze_prints_one_summary_per_model_across_logs(tmp_path, capsys):
     assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
         ["model=mock", "plies=12"],
         ["model=mock-1", "plies=3"],
+    ]
+
+
+def test_analyze_sends_the_engine_exactly_these_lines(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path,
+        subject={"kind": "scripted", "replies": ["make_move e7e5"], "cycle": False, "name": "mock"},
+        opponent={"kind": "scripted_moves", "moves": ["e2e4", "d2d4"]},
+        games=1,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    received = tmp_path / "received.txt"
+    engine = fake_engine_cmdline(tmp_path, log=str(received))
+    log = tmp_path / "runs" / "games-scripted.jsonl"
+    assert main(["analyze", str(log), "--engine", engine, "--depth", "7"]) == 0
+    assert received.read_text().splitlines() == [
+        "uci",
+        "setoption name Threads value 1",
+        "setoption name Hash value 128",
+        "setoption name MultiPV value 1",
+        "setoption name Skill Level value 20",
+        "isready",
+        "ucinewgame",
+        "isready",
+        "position fen rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1",
+        "go depth 7",
+        "position fen rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w KQkq - 0 2",
+        "go depth 7",
+        "quit",
     ]
 
 

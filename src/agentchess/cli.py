@@ -60,15 +60,14 @@ def _endpoint_config(entry: dict) -> LLMEndpointConfig:
     return LLMEndpointConfig(**fields)
 
 
-def _engine_command(entry: dict) -> tuple:
-    command = entry.get("command") or entry.get("path")
+def _engine_command(command) -> tuple:
+    """An engine command line, as text split like a shell's or as a list, whose executable exists."""
     if isinstance(command, str):
         command = shlex.split(command)
     if not command:
-        raise ConfigError("engine entry needs a command or path")
-    executable = command[0]
-    if not (os.path.exists(executable) or shutil.which(executable)):
-        raise ConfigError(f"engine executable not found: {executable}")
+        raise ConfigError("no engine command given")
+    if not (os.path.exists(command[0]) or shutil.which(command[0])):
+        raise ConfigError(f"engine executable not found: {command[0]}")
     return tuple(command)
 
 
@@ -120,7 +119,7 @@ def opponent_cells(manifest: dict) -> list:
     if kind == "scripted_moves":
         return [("scripted", ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
     if kind == "engine":
-        command = _engine_command(entry)
+        command = _engine_command(entry.get("command") or entry.get("path"))
         skills = _as_list("skills", entry.get("skills", []))
         skills = skills or ([entry["skill"]] if "skill" in entry else [None])
         cells = []
@@ -249,10 +248,7 @@ def cmd_run(args) -> int:
 def _analysis_engine(args):
     if args.engine is None:
         raise ConfigError("analyze needs --engine (the UCI engine command line)")
-    command = tuple(shlex.split(args.engine))
-    if not command or not (os.path.exists(command[0]) or shutil.which(command[0])):
-        raise ConfigError(f"analysis engine not found: {command[0] if command else ''}")
-    return analysis.AnalysisEngineConfig(command=command, depth=args.depth)
+    return analysis.AnalysisEngineConfig(command=_engine_command(args.engine), depth=args.depth)
 
 
 def _usable_cpus() -> int:

@@ -340,8 +340,14 @@ class EngineConfig:
 
     @contextmanager
     def play(self, usage):
-        with spawn_engine(self) as engine:
-            yield lambda board, rng: engine_move(board, engine)
+        go = "go"
+        if self.depth is not None:
+            go += f" depth {self.depth}"
+        if self.movetime_ms is not None:
+            go += f" movetime {self.movetime_ms}"
+        options = [] if self.skill is None else [(self.skill_option, self.skill)]
+        with UciEngine(self.command, options).start() as engine:
+            yield lambda board, rng: engine_move(board, engine, go)
 
     def describe(self):
         return {"kind": "engine", "command": list(self.command), "skill": self.skill}
@@ -354,11 +360,9 @@ class UciEngine:
     protocol violations and engine death raise ModelError("engine").
     """
 
-    def __init__(self, command, options=(), movetime_ms=None, depth=None):
+    def __init__(self, command, options=()):
         self.command = list(command)
         self.options = list(options)
-        self.movetime_ms = movetime_ms
-        self.depth = depth
         self._proc: subprocess.Popen | None = None
 
     def start(self) -> "UciEngine":
@@ -439,13 +443,8 @@ class UciEngine:
             elif tokens[0] == "bestmove":
                 return score, tokens
 
-    def bestmove(self, fen: str) -> str:
-        """Search from `fen` and return the engine's move text."""
-        go = "go"
-        if self.depth is not None:
-            go += f" depth {self.depth}"
-        if self.movetime_ms is not None:
-            go += f" movetime {self.movetime_ms}"
+    def bestmove(self, fen: str, go: str) -> str:
+        """Search from `fen` with the `go` line and return the engine's move text."""
         _, tokens = self._search(fen, go)
         if len(tokens) < 2:
             raise ModelError("engine", f"bad bestmove line: {tokens[0]!r}")
@@ -490,19 +489,9 @@ class UciEngine:
         self.quit()
 
 
-def spawn_engine(config: EngineConfig) -> UciEngine:
-    engine = UciEngine(
-        config.command,
-        options=[] if config.skill is None else [(config.skill_option, config.skill)],
-        movetime_ms=config.movetime_ms,
-        depth=config.depth,
-    )
-    return engine.start()
-
-
-def engine_move(board, engine: UciEngine) -> rules.Move:
-    """Ask a running engine for a move and insist it is legal."""
-    text = engine.bestmove(rules.render_fen(board))
+def engine_move(board, engine: UciEngine, go: str) -> rules.Move:
+    """Ask a running engine for a move with the `go` line and insist it is legal."""
+    text = engine.bestmove(rules.render_fen(board), go)
     try:
         move = rules.Move.from_uci(text)
     except rules.MoveParseError as exc:

@@ -28,7 +28,6 @@ from agentchess.players import (
     llm_reply,
     moa_reply,
     random_move,
-    spawn_engine,
     strip_thinking,
 )
 
@@ -41,12 +40,16 @@ def endpoint(base_url, model, **kwargs) -> LLMEndpointConfig:
     return LLMEndpointConfig(base_url=base_url, model=model, **kwargs)
 
 
-def fake_engine(tmp_path, responses, **extra) -> EngineConfig:
+GO = "go movetime 1000"
+
+
+def fake_engine(tmp_path, responses, **extra) -> tuple:
+    """The command line of a scripted test engine."""
     script = {"responses": responses, "log": str(tmp_path / "received.txt")}
     script.update(extra)
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script))
-    return EngineConfig(command=(sys.executable, str(FAKE_UCI), str(script_path)))
+    return (sys.executable, str(FAKE_UCI), str(script_path))
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +323,16 @@ def test_endpoint_config_refuses_values_no_call_could_use(field, value):
 
 
 def test_engine_scripted_bestmove(tmp_path):
-    config = fake_engine(tmp_path, [{"bestmove": "e7e5"}])
-    with spawn_engine(config) as engine:
+    command = fake_engine(tmp_path, [{"bestmove": "e7e5"}])
+    with UciEngine(command).start() as engine:
         board = rules.apply_uci(rules.Board.initial(), "e2e4")
-        assert engine_move(board, engine).uci() == "e7e5"
+        assert engine_move(board, engine, GO).uci() == "e7e5"
 
 
 def test_engine_handshake_sets_options(tmp_path):
-    config = fake_engine(tmp_path, [{"bestmove": "e7e5"}])
-    config = EngineConfig(command=config.command, skill=3, skill_option="Skill")
-    with spawn_engine(config) as engine:
-        engine.bestmove(rules.START_FEN)
+    config = EngineConfig(command=fake_engine(tmp_path, [{"bestmove": "e2e4"}]), skill=3, skill_option="Skill")
+    with config.play([]) as choose_move:
+        choose_move(rules.Board.initial(), None)
     received = (tmp_path / "received.txt").read_text().splitlines()
     assert "setoption name Skill value 3" in received
     assert received.index("uci") < received.index("setoption name Skill value 3")
@@ -339,24 +341,24 @@ def test_engine_handshake_sets_options(tmp_path):
 
 
 def test_engine_illegal_bestmove_rejected(tmp_path):
-    config = fake_engine(tmp_path, [{"bestmove": "a1a8"}])
-    with spawn_engine(config) as engine:
+    command = fake_engine(tmp_path, [{"bestmove": "a1a8"}])
+    with UciEngine(command).start() as engine:
         with pytest.raises(ModelError) as exc:
-            engine_move(rules.Board.initial(), engine)
+            engine_move(rules.Board.initial(), engine, GO)
     assert exc.value.reason == "engine"
 
 
 def test_engine_crash_raises_engine_error(tmp_path):
-    config = fake_engine(tmp_path, [{"bestmove": "e2e4"}], crash_after_go=1)
-    with spawn_engine(config) as engine:
-        assert engine.bestmove(rules.START_FEN) == "e2e4"
+    command = fake_engine(tmp_path, [{"bestmove": "e2e4"}], crash_after_go=1)
+    with UciEngine(command).start() as engine:
+        assert engine.bestmove(rules.START_FEN, GO) == "e2e4"
         with pytest.raises(ModelError) as exc:
-            engine.bestmove(rules.START_FEN)
+            engine.bestmove(rules.START_FEN, GO)
     assert exc.value.reason == "engine"
 
 
 def test_engine_evaluate_scores(tmp_path):
-    config = fake_engine(
+    command = fake_engine(
         tmp_path,
         [
             {"score": "cp 13", "bestmove": "e2e4"},
@@ -364,37 +366,37 @@ def test_engine_evaluate_scores(tmp_path):
             {"score": "mate 0", "bestmove": "(none)"},
         ],
     )
-    with spawn_engine(config) as engine:
+    with UciEngine(command).start() as engine:
         assert engine.evaluate(rules.START_FEN, 20) == (("cp", 13), "e2e4")
         assert engine.evaluate(rules.START_FEN, 20) == (("mate", 2), "h5f7")
         assert engine.evaluate(rules.START_FEN, 20) == (("mate", 0), None)
 
 
 def test_engine_bare_bestmove_line(tmp_path):
-    config = fake_engine(tmp_path, [{"bestmove": ""}, {"score": "cp 5", "bestmove": ""}])
-    with spawn_engine(config) as engine:
+    command = fake_engine(tmp_path, [{"bestmove": ""}, {"score": "cp 5", "bestmove": ""}])
+    with UciEngine(command).start() as engine:
         with pytest.raises(ModelError, match="bad bestmove line: 'bestmove'") as exc:
-            engine.bestmove(rules.START_FEN)
+            engine.bestmove(rules.START_FEN, GO)
         assert exc.value.reason == "engine"
         assert engine.evaluate(rules.START_FEN, 20) == (("cp", 5), None)
 
 
 def test_engine_bestmove_none_in_play_is_unparsable(tmp_path):
-    config = fake_engine(tmp_path, [{"bestmove": "(none)"}])
-    with spawn_engine(config) as engine:
+    command = fake_engine(tmp_path, [{"bestmove": "(none)"}])
+    with UciEngine(command).start() as engine:
         with pytest.raises(ModelError, match=r"unparsable bestmove '\(none\)'") as exc:
-            engine_move(rules.Board.initial(), engine)
+            engine_move(rules.Board.initial(), engine, GO)
     assert exc.value.reason == "engine"
 
 
 def test_engine_evaluate_without_a_score_line(tmp_path):
     info = ["info depth 1 nodes 20", "info string no score here", "info depth 2 score"]
-    config = fake_engine(tmp_path, [{"info": info, "bestmove": "e2e4"}])
-    with spawn_engine(config) as engine:
+    command = fake_engine(tmp_path, [{"info": info, "bestmove": "e2e4"}])
+    with UciEngine(command).start() as engine:
         with pytest.raises(ModelError, match="search returned no score for") as exc:
             engine.evaluate(rules.START_FEN, 20)
         assert exc.value.reason == "engine"
-        assert engine.bestmove(rules.START_FEN) == "e2e4"  # the session is still in step
+        assert engine.bestmove(rules.START_FEN, GO) == "e2e4"  # the session is still in step
 
 
 def test_engine_missing_executable():

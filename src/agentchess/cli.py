@@ -248,6 +248,8 @@ def cmd_run(args) -> int:
 def _analysis_engine(args):
     if args.engine is None:
         raise ConfigError("analyze needs --engine (the UCI engine command line)")
+    if args.depth < 1:
+        raise ConfigError(f"--depth must be at least 1, not {args.depth}")
     return analysis.AnalysisEngineConfig(command=_engine_command(args.engine), depth=args.depth)
 
 

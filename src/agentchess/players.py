@@ -16,9 +16,9 @@ import json
 import math
 import os
 import re
+import select
 import ssl
 import subprocess
-import threading
 import time
 import urllib.error
 import urllib.parse
@@ -315,7 +315,13 @@ def moa_reply(messages, cfg: MoAConfig, reply_fn=llm_reply) -> str:
 # UCI engines.
 
 
-HANDSHAKE_TIMEOUT_S = 10.0  # launch to `readyok`; an engine still silent then is killed
+# An engine still silent at a read's deadline is killed. The handshake (launch
+# to `readyok`, and `ucinewgame` to `readyok`) has HANDSHAKE_TIMEOUT_S; a search
+# (`go` to `bestmove`) has its movetime plus SEARCH_GRACE_S, or
+# DEPTH_SEARCH_TIMEOUT_S when its `go` line sets no movetime.
+HANDSHAKE_TIMEOUT_S = 10.0
+SEARCH_GRACE_S = 10.0
+DEPTH_SEARCH_TIMEOUT_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -337,6 +343,12 @@ class EngineConfig:
     def __post_init__(self):  # a text skill would play and then break Elo's skill ratings
         if self.skill is not None and type(self.skill) is not int:
             raise TypeError(f"skill must be an integer, not {type(self.skill).__name__}")
+        for name in ("movetime_ms", "depth"):  # `go depth 0` or `go movetime fast` mis-drives an engine
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(f"{name} must be unset or a positive integer, not {value!r}")
+        if self.movetime_ms is None and self.depth is None:  # a bare `go` searches for ever
+            raise ValueError("an engine needs a movetime_ms or a depth")
 
     @contextmanager
     def play(self, usage):
@@ -356,44 +368,36 @@ class EngineConfig:
 class UciEngine:
     """A line-oriented UCI session over a child process.
 
-    One session belongs to one game (or one analysis worker) at a time;
-    protocol violations and engine death raise ModelError("engine").
+    One session belongs to one game (or one analysis worker) at a time; protocol
+    violations, engine death and silence past a deadline raise ModelError("engine").
     """
 
     def __init__(self, command, options=()):
         self.command = list(command)
         self.options = list(options)
         self._proc: subprocess.Popen | None = None
+        self._unread = b""  # engine output not yet returned as lines
 
     def start(self) -> "UciEngine":
         try:
             self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
-            )
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         except OSError as exc:
             raise ModelError("engine", f"cannot launch {self.command[0]}: {exc}") from exc
+        self._output = select.poll()
+        self._output.register(self._proc.stdout, select.POLLIN)
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
-        killer = threading.Timer(HANDSHAKE_TIMEOUT_S, self._proc.kill)
-        killer.start()
+        silence = f"no handshake in {HANDSHAKE_TIMEOUT_S:g} s"
         try:
             self._send("uci")
-            while self._readline() != "uciok":
+            while self._readline(deadline, silence) != "uciok":
                 pass
             for name, value in self.options:
                 self._send(f"setoption name {name} value {value}")
-            self._wait_ready()
+            self._wait_ready(deadline, silence)
         except ModelError:
             self.quit()  # reap an engine that fails its handshake
-            if time.monotonic() >= deadline:
-                raise ModelError("engine", f"no handshake in {HANDSHAKE_TIMEOUT_S:g} s") from None
             raise
-        finally:
-            killer.cancel()
         return self
 
     def _send(self, line: str) -> None:
@@ -401,37 +405,45 @@ class UciEngine:
         if proc is None or proc.stdin is None:
             raise ModelError("engine", "engine not started")
         try:
-            proc.stdin.write(line + "\n")
+            proc.stdin.write(f"{line}\n".encode())
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ModelError("engine", f"engine pipe closed: {exc}") from exc
 
-    def _readline(self) -> str:
-        proc = self._proc
-        if proc is None or proc.stdout is None:
-            raise ModelError("engine", "engine not started")
-        line = proc.stdout.readline()
-        if line == "":
-            raise ModelError("engine", "engine terminated unexpectedly")
-        return line.strip()
+    def _readline(self, deadline: float, silence: str) -> str:
+        """The engine's next line by `deadline` (time.monotonic()); else kill it and raise `silence`."""
+        while b"\n" not in self._unread:
+            if not self._output.poll(max(deadline - time.monotonic(), 0.0) * 1000):
+                self._proc.kill()
+                raise ModelError("engine", silence)
+            chunk = os.read(self._proc.stdout.fileno(), 65536)
+            if not chunk:
+                raise ModelError("engine", "engine terminated unexpectedly")
+            self._unread += chunk
+        line, _, self._unread = self._unread.partition(b"\n")
+        return line.decode(errors="replace").strip()
 
-    def _wait_ready(self) -> None:
+    def _wait_ready(self, deadline: float, silence: str) -> None:
         self._send("isready")
-        while self._readline() != "readyok":
+        while self._readline(deadline, silence) != "readyok":
             pass
 
     def new_game(self) -> None:
         """Start a new game: the engine drops what it learnt from earlier searches."""
         self._send("ucinewgame")
-        self._wait_ready()
+        self._wait_ready(time.monotonic() + HANDSHAKE_TIMEOUT_S, "no readyok after ucinewgame")
 
     def _search(self, fen: str, go: str) -> tuple:
         """Search from `fen` with the `go` line; return (last info score or None, bestmove tokens)."""
+        words = go.split()
+        timeout = (int(words[words.index("movetime") + 1]) / 1000 + SEARCH_GRACE_S
+                   if "movetime" in words else DEPTH_SEARCH_TIMEOUT_S)
+        deadline, silence = time.monotonic() + timeout, f"no bestmove in {timeout:g} s"
         self._send(f"position fen {fen}")
         self._send(go)
         score = None
         while True:
-            tokens = self._readline().split()
+            tokens = self._readline(deadline, silence).split()
             if not tokens:
                 continue
             if tokens[0] == "info" and "score" in tokens:
@@ -470,7 +482,7 @@ class UciEngine:
             self._send("quit")
         except ModelError:
             pass
-        proc, self._proc = self._proc, None
+        proc, self._proc, self._unread = self._proc, None, b""
         try:
             proc.wait(timeout=5)
         except subprocess.TimeoutExpired:

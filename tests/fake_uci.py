@@ -11,7 +11,8 @@ Takes a JSON script path as its only argument:
         {"info": ["info depth 1 nodes 20"], "bestmove": "d2d4"}
       ],
       "log": "/tmp/received.txt",
-      "crash_after_go": 2
+      "crash_after_go": 2,
+      "silent_after_go": 2
     }
 
 Each `go` consumes the next response, printing its scripted `info` lines
@@ -20,8 +21,10 @@ once the list is exhausted. `ucinewgame` starts the list over, so a game's
 searches get the same responses whichever process serves them.
 With crash_after_go set to N, each go after the Nth this process receives
 kills it instead, to simulate an engine crash mid-game; the count survives
-`ucinewgame`. All received lines are appended to `log` when given, so tests
-can assert on the option handshake.
+`ucinewgame`. With silent_after_go set to N, the process answers nothing
+from its (N+1)th go on, not even `quit`, to simulate a hung engine;
+that count survives `ucinewgame` too. All received lines are appended to
+`log` when given, so tests can assert on the option handshake.
 """
 import json
 import sys
@@ -35,6 +38,7 @@ def main() -> None:
     responses = script.get("responses") or [{"bestmove": "(none)"}]
     log_path = script.get("log")
     crash_after = script.get("crash_after_go")
+    silent_after = script.get("silent_after_go")
     go_count = 0
     next_response = 0
 
@@ -50,6 +54,8 @@ def main() -> None:
     for raw in sys.stdin:
         line = raw.strip()
         log(line)
+        if silent_after is not None and go_count > silent_after:
+            continue
         if line == "uci":
             say("id name fake-uci")
             say("id author test-suite")
@@ -62,6 +68,8 @@ def main() -> None:
             go_count += 1
             if crash_after is not None and go_count > crash_after:
                 sys.exit(1)
+            if silent_after is not None and go_count > silent_after:
+                continue
             entry = responses[min(next_response, len(responses) - 1)]
             next_response += 1
             best = entry.get("bestmove", "(none)")

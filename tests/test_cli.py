@@ -280,10 +280,24 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
      "ValueError: timeout_s must be finite, not nan"),
     ({"subject": {**ENDPOINT, "max_retries": -1}},
      "ValueError: max_retries must be a whole number >= 0, not -1"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "movetime_ms": None}},
+     "ValueError: an engine needs a movetime_ms or a depth"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "movetime_ms": "fast", "depth": 0}},
+     "ValueError: movetime_ms must be unset or a positive integer, not 'fast'"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "depth": 0}},
+     "ValueError: depth must be unset or a positive integer, not 0"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "movetime_ms": -5}},
+     "ValueError: movetime_ms must be unset or a positive integer, not -5"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "movetime_ms": True}},
+     "ValueError: movetime_ms must be unset or a positive integer, not True"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "movetime_ms": None, "depth": 2.5}},
+     "ValueError: depth must be unset or a positive integer, not 2.5"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
         "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers",
         "non-uci-move", "number-move", "number-reply", "text-cycle", "text-skill", "fractional-skill",
-        "bool-skill", "nan-temperature", "infinite-top-p", "nan-timeout", "negative-retries"])
+        "bool-skill", "nan-temperature", "infinite-top-p", "nan-timeout", "negative-retries",
+        "engine-without-movetime-or-depth", "text-movetime", "zero-depth", "negative-movetime",
+        "bool-movetime", "fractional-depth"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2
@@ -307,6 +321,24 @@ def test_engine_silent_in_its_handshake_times_out(tmp_path, capsys, monkeypatch)
     (entry,) = read_jsonl(tmp_path / "runs" / "games-skill-1.jsonl")
     assert entry["record"]["termination"] == "model_error"
     assert entry["record"]["termination_detail"] == "engine"
+
+
+def test_run_engine_silent_in_a_search_is_an_excluded_model_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.3)  # a hung engine waited for ever before
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}], silent_after_go=0)
+    manifest = write_manifest(
+        tmp_path,
+        opponent={"kind": "engine", "command": engine, "skills": [1], "movetime_ms": 1},
+        games=2,
+    )
+    started = time.monotonic()
+    assert main(["run", "--config", str(manifest)]) == 0
+    assert time.monotonic() - started < 5  # each engine is killed at its deadline, not waited on at quit
+    assert "no scorable games" in capsys.readouterr().out
+    records = [e["record"] for e in read_jsonl(tmp_path / "runs" / "games-skill-1.jsonl")]
+    assert [(r["termination"], r["termination_detail"], r["error_side"], r["excluded"]) for r in records] == [
+        ("model_error", "engine", "w", True)
+    ] * 2
 
 
 def test_run_all_games_excluded_reports_cell_without_crashing(tmp_path, capsys):
@@ -452,6 +484,17 @@ def test_analyze_sends_the_engine_exactly_these_lines(tmp_path, capsys):
     ]
 
 
+def test_analyze_rejects_a_depth_below_one(tmp_path, capsys):
+    log = run_two_game_log(tmp_path)
+    received = tmp_path / "received.txt"
+    engine = fake_engine_cmdline(tmp_path, log=str(received))
+    capsys.readouterr()
+    assert main(["analyze", str(log), "--engine", engine, "--depth", "0"]) == 2
+    assert capsys.readouterr().err == "error: --depth must be at least 1, not 0\n"
+    assert not received.exists()  # no engine was started
+    assert not (tmp_path / "runs" / "games-scripted.jsonl.analysis.jsonl").exists()
+
+
 def test_analyze_requires_engine(tmp_path, capsys):
     log = run_two_game_log(tmp_path)
     assert main(["analyze", str(log)]) == 2
@@ -549,6 +592,26 @@ def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys, monkeypa
     clean_rows = [json.loads(line) for line in clean[3][0].splitlines()]
     # The game after the crash is scored on a fresh engine, as in a clean run.
     assert [r for r in rows if r["game_index"] == 2] == [r for r in clean_rows if r["game_index"] == 2]
+
+
+def test_analyze_engine_silent_in_a_search_spoils_only_that_game(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.3)  # a hung engine waited for ever before
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    logs = scripted_logs(tmp_path, capsys, (3, 1))  # 18 and 6 searches
+    clean = analyze_outputs(logs, fake_engine_cmdline(tmp_path, VARIED_RESPONSES), capsys)
+    silent = fake_engine_cmdline(tmp_path, VARIED_RESPONSES, name="silent.json", silent_after_go=8)
+    started = time.monotonic()
+    code, _, _, sidecars = analyze_outputs(logs, silent, capsys)
+    assert time.monotonic() - started < 5
+    assert code == 0
+    rows = [json.loads(line) for line in sidecars[0].splitlines()]
+    assert [r for r in rows if "unanalyzed" in r] == [
+        {"game_index": 1, "model_id": "mock-2", "unanalyzed": "engine: no bestmove in 0.3 s"}
+    ]
+    clean_rows = [json.loads(line) for line in clean[3][0].splitlines()]
+    # The games before and after the silent search are scored as in a clean run.
+    assert [r for r in rows if r["game_index"] != 1] == [r for r in clean_rows if r["game_index"] != 1]
+    assert sidecars[1] == clean[3][1]
     assert sidecars[0] != clean[3][0]
     assert sidecars[1] == clean[3][1]
 

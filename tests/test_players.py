@@ -7,6 +7,7 @@ import socket
 import ssl
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 import warnings
@@ -397,6 +398,26 @@ def test_engine_evaluate_without_a_score_line(tmp_path):
             engine.evaluate(rules.START_FEN, 20)
         assert exc.value.reason == "engine"
         assert engine.bestmove(rules.START_FEN, GO) == "e2e4"  # the session is still in step
+
+
+def test_engine_silent_in_a_search_is_killed_at_its_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.2)  # a hung engine waited for ever before
+    monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.3)
+    command = fake_engine(tmp_path, [{"score": "cp 5", "bestmove": "e2e4"}], silent_after_go=1)
+    threads = threading.enumerate()
+    started = time.monotonic()
+    with UciEngine(command).start() as engine:
+        assert engine.bestmove(rules.START_FEN, "go movetime 100") == "e2e4"
+        with pytest.raises(ModelError, match=r"^engine: no bestmove in 0\.3 s$"):
+            engine.bestmove(rules.START_FEN, "go movetime 100")
+    with UciEngine(command).start() as engine:
+        assert engine.evaluate(rules.START_FEN, 20) == (("cp", 5), "e2e4")
+        with pytest.raises(ModelError, match=r"^engine: no bestmove in 0\.3 s$"):
+            engine.evaluate(rules.START_FEN, 20)
+    # The fake ignores `quit` once silent, so only a kill at the deadline
+    # keeps each quit() from waiting out its 5 s.
+    assert time.monotonic() - started < 4
+    assert threading.enumerate() == threads  # no watchdog thread outlives quit()
 
 
 def test_engine_missing_executable():

@@ -64,8 +64,8 @@ def _engine_command(command) -> tuple:
     """An engine command line, as text split like a shell's or as a list, whose executable exists."""
     if isinstance(command, str):
         command = shlex.split(command)
-    if not command:
-        raise ConfigError("no engine command given")
+    if not command or not all(isinstance(word, str) for word in command):
+        raise ConfigError(f"an engine needs a command line, as text or a list of text, not {command!r}")
     if not (os.path.exists(command[0]) or shutil.which(command[0])):
         raise ConfigError(f"engine executable not found: {command[0]}")
     return tuple(command)

@@ -98,6 +98,17 @@ def test_run_missing_engine_is_config_error_before_games(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", [None, "", [], [1], [sys.executable, 5]],
+                         ids=["missing", "empty-text", "empty-list", "number", "number-argument"])
+def test_run_engine_command_must_be_text(tmp_path, capsys, command):
+    # os.path.exists(1) is true (descriptor 1 is stdout), so only a type
+    # check keeps a number from reaching Popen in the middle of the run.
+    manifest = write_manifest(tmp_path, opponent={"kind": "engine", "command": command, "skills": [1]})
+    assert main(["run", "--config", str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith("error: an engine needs a command line, as text or a list of text")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_engine_grid_one_log_per_skill(tmp_path, capsys):
     engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}, {"bestmove": "d2d4"}])
     manifest = write_manifest(
@@ -324,7 +335,7 @@ def test_engine_silent_in_its_handshake_times_out(tmp_path, capsys, monkeypatch)
 
 
 def test_run_engine_silent_in_a_search_is_an_excluded_model_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.3)  # a hung engine waited for ever before
+    monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.3)  # short deadlines keep the test fast
     engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}], silent_after_go=0)
     manifest = write_manifest(
         tmp_path,
@@ -595,7 +606,7 @@ def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys, monkeypa
 
 
 def test_analyze_engine_silent_in_a_search_spoils_only_that_game(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.3)  # a hung engine waited for ever before
+    monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.3)  # short deadlines keep the test fast
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     logs = scripted_logs(tmp_path, capsys, (3, 1))  # 18 and 6 searches
     clean = analyze_outputs(logs, fake_engine_cmdline(tmp_path, VARIED_RESPONSES), capsys)

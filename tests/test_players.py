@@ -401,7 +401,7 @@ def test_engine_evaluate_without_a_score_line(tmp_path):
 
 
 def test_engine_silent_in_a_search_is_killed_at_its_deadline(tmp_path, monkeypatch):
-    monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.2)  # a hung engine waited for ever before
+    monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.2)  # short deadlines keep the test fast
     monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.3)
     command = fake_engine(tmp_path, [{"score": "cp 5", "bestmove": "e2e4"}], silent_after_go=1)
     threads = threading.enumerate()

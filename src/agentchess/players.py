@@ -482,7 +482,7 @@ class UciEngine:
             self._send("quit")
         except ModelError:
             pass
-        proc, self._proc, self._unread = self._proc, None, b""
+        proc, self._proc = self._proc, None
         try:
             proc.wait(timeout=5)
         except subprocess.TimeoutExpired:

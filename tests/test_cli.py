@@ -603,6 +603,8 @@ def test_analyze_engine_crash_spoils_only_its_own_log(tmp_path, capsys, monkeypa
     clean_rows = [json.loads(line) for line in clean[3][0].splitlines()]
     # The game after the crash is scored on a fresh engine, as in a clean run.
     assert [r for r in rows if r["game_index"] == 2] == [r for r in clean_rows if r["game_index"] == 2]
+    assert sidecars[0] != clean[3][0]
+    assert sidecars[1] == clean[3][1]
 
 
 def test_analyze_engine_silent_in_a_search_spoils_only_that_game(tmp_path, capsys, monkeypatch):
@@ -622,7 +624,6 @@ def test_analyze_engine_silent_in_a_search_spoils_only_that_game(tmp_path, capsy
     clean_rows = [json.loads(line) for line in clean[3][0].splitlines()]
     # The games before and after the silent search are scored as in a clean run.
     assert [r for r in rows if r["game_index"] != 1] == [r for r in clean_rows if r["game_index"] != 1]
-    assert sidecars[1] == clean[3][1]
     assert sidecars[0] != clean[3][0]
     assert sidecars[1] == clean[3][1]
 

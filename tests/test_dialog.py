@@ -11,6 +11,8 @@ from agentchess.dialog import (
     VARIANTS,
     ActionRequest,
     DialogLimits,
+    Exchange,
+    PlyTranscript,
     ProtocolVariant,
     build_game_loop_prompt,
     format_move_history,
@@ -50,6 +52,39 @@ def test_invalid_action_reflection_matches_fixture():
     assert invalid_action_reflection(BASELINE) == (
         FIXTURES / "invalid_action_reflection.txt"
     ).read_text()
+
+
+ALL_ACTIONS = ("get_current_board", "get_legal_moves", "make_move")
+OFFERED = {
+    "baseline": ALL_ACTIONS,
+    "always_board_state": ("get_legal_moves", "make_move"),
+    "always_legal_moves": ("get_current_board", "make_move"),
+    "only_make_move": ("make_move",),
+    "ascii_board": ALL_ACTIONS,
+    "fen_board": ALL_ACTIONS,
+    "no_legal_moves": ("get_current_board", "make_move"),
+    "previous_moves": ALL_ACTIONS,
+    "previous_moves_only_make_move": ("make_move",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_prompt_reflection_and_parser_offer_the_same_actions(name):
+    variant = VARIANTS[name]
+    prompt = build_game_loop_prompt(rules.WHITE, variant, rules.Board.initial())
+    prompt_actions = tuple(
+        line[len("- `"):].split()[0].rstrip("'") for line in prompt.splitlines() if line.startswith("- `")
+    )
+    reflection = invalid_action_reflection(variant)
+    assert reflection.startswith(prompts.INVALID_ACTION_HEADER)
+    reflected = tuple(
+        option.split()[0] for option in reflection[len(prompts.INVALID_ACTION_HEADER):].split(", ")
+    )
+    accepted = tuple(
+        kind for kind in ALL_ACTIONS
+        if parse_action(f"{kind} e2e4", variant) == ActionRequest(kind, "e2e4" if kind == "make_move" else None)
+    )
+    assert prompt_actions == reflected == accepted == OFFERED[name]
 
 
 def test_only_make_move_prompt_lists_single_action():
@@ -334,3 +369,91 @@ def test_run_ply_caps_hold_for_arbitrary_scripts(script):
     assert consumed <= transcript.turns_used * LIMITS.max_attempts_per_turn
     if transcript.outcome == dialog.MOVE_MADE:
         assert transcript.move == "e2e4"
+
+
+# Exact conversations from the initial position, white to move. Each reply's
+# logged outcome fixes the harness's answer to it: an unparsable reply gets
+# the variant's reflection, an illegal move the failure text, a query its
+# answer, and a completed move ends the ply.
+PLY_LIMITS = DialogLimits(max_turns_per_ply=3, max_attempts_per_turn=3)
+START = rules.Board.initial()
+START_MOVES = ", ".join(m.uci() for m in rules.legal_moves(START))
+WHITE_HEADER = prompts.GAME_LOOP_HEADER.format(color="white")
+OPENING = {
+    "baseline": (FIXTURES / "game_loop_prompt_white.txt").read_text(),
+    "no_legal_moves": "\n".join([
+        WHITE_HEADER, prompts.ACTION_LINE_GET_BOARD, prompts.ACTION_LINE_MAKE_MOVE, prompts.GAME_LOOP_FOOTER,
+    ]),
+    "only_make_move": "\n".join([
+        WHITE_HEADER, prompts.ACTION_LINE_MAKE_MOVE, prompts.INLINE_BOARD_HEADER,
+        rules.render_board(START, "unicode"), prompts.INLINE_LEGAL_MOVES_HEADER + START_MOVES,
+        prompts.GAME_LOOP_FOOTER,
+    ]),
+}
+ANSWER = {
+    "baseline": {
+        "unparsable": (FIXTURES / "invalid_action_reflection.txt").read_text(),
+        "get_current_board": rules.render_board(START, "unicode"),
+        "get_legal_moves": START_MOVES,
+    },
+    "no_legal_moves": {
+        "unparsable": prompts.INVALID_ACTION_HEADER + "get_current_board, make_move <UCI formatted move>",
+        "get_current_board": rules.START_FEN,
+    },
+    "only_make_move": {"unparsable": prompts.INVALID_ACTION_HEADER + "make_move <UCI formatted move>"},
+}
+ILLEGAL_E2E5 = f"Failed to make move: illegal uci: 'e2e5' in {rules.START_FEN}"
+WRONG_THEN_MOVE = ["banana", "make_move e2e5", "get_legal_moves", "make_move e2e4"]
+QUERIES_TO_CAP = ["get_current_board", "noise", "get_legal_moves", "get_current_board", "get_current_board"]
+QUERY_ILLEGAL_LEGAL = ["get_current_board", "make_move e2e5", "make_move e2e4"]
+
+
+@pytest.mark.parametrize("name, replies, outcomes, ending, turns", [
+    ("baseline", WRONG_THEN_MOVE,
+     ["unparsable", "illegal_move", "get_legal_moves", "move_made"], "move_made", 2),
+    ("no_legal_moves", WRONG_THEN_MOVE,
+     ["unparsable", "illegal_move", "unparsable"], "too_many_wrong_actions", 1),
+    ("only_make_move", WRONG_THEN_MOVE,
+     ["unparsable", "illegal_move", "unparsable"], "too_many_wrong_actions", 1),
+    ("baseline", QUERIES_TO_CAP,
+     ["get_current_board", "unparsable", "get_legal_moves", "get_current_board"], "max_turns", 3),
+    ("no_legal_moves", QUERIES_TO_CAP,
+     ["get_current_board", "unparsable", "unparsable", "get_current_board", "get_current_board"],
+     "max_turns", 3),
+    ("only_make_move", QUERIES_TO_CAP,
+     ["unparsable", "unparsable", "unparsable"], "too_many_wrong_actions", 1),
+    ("baseline", QUERY_ILLEGAL_LEGAL, ["get_current_board", "illegal_move", "move_made"], "move_made", 2),
+    ("no_legal_moves", QUERY_ILLEGAL_LEGAL, ["get_current_board", "illegal_move", "move_made"], "move_made", 2),
+    ("only_make_move", QUERY_ILLEGAL_LEGAL, ["unparsable", "illegal_move", "move_made"], "move_made", 1),
+], ids=["baseline-wrong-then-move", "no-legal-moves-wrong-then-move", "only-make-move-wrong-then-move",
+        "baseline-queries-to-cap", "no-legal-moves-queries-to-cap", "only-make-move-queries-to-cap",
+        "baseline-query-illegal-legal", "no-legal-moves-query-illegal-legal",
+        "only-make-move-query-illegal-legal"])
+def test_run_ply_exact_conversation(name, replies, outcomes, ending, turns):
+    seen = []
+
+    def reply_fn(messages):
+        seen.append([dict(m) for m in messages])
+        return replies[len(seen) - 1]
+
+    transcript = run_ply(rules.Board.initial(), reply_fn, PLY_LIMITS, VARIANTS[name])
+
+    answers = [ILLEGAL_E2E5 if o == "illegal_move" else ANSWER[name].get(o) for o in outcomes]
+    prompts_seen = [OPENING[name]] + answers[:-1]
+    expected_messages = []
+    conversation = [{"role": "user", "content": OPENING[name]}]
+    for reply, answer in zip(replies, answers):
+        expected_messages.append(list(conversation))
+        conversation += [{"role": "assistant", "content": reply}, {"role": "user", "content": answer}]
+    assert seen == expected_messages
+    assert transcript == PlyTranscript(
+        exchanges=[Exchange(p, r, o) for p, r, o in zip(prompts_seen, replies, outcomes)],
+        outcome=ending,
+        move="e2e4" if ending == "move_made" else None,
+        turns_used=turns,
+        failed_attempts=outcomes.count("unparsable") + outcomes.count("illegal_move"),
+        board_queries=outcomes.count("get_current_board"),
+        legal_move_queries=outcomes.count("get_legal_moves"),
+        illegal_move_attempts=outcomes.count("illegal_move"),
+        unparsable_replies=outcomes.count("unparsable"),
+    )

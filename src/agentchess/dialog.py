@@ -22,6 +22,13 @@ MOVE_MADE = "move_made"
 TOO_MANY_WRONG_ACTIONS = "too_many_wrong_actions"
 MAX_TURNS = "max_turns"
 
+# Each action's line in the opening prompt, in prompt order.
+_ACTION_LINES = {
+    GET_CURRENT_BOARD: prompts.ACTION_LINE_GET_BOARD,
+    GET_LEGAL_MOVES: prompts.ACTION_LINE_GET_LEGAL_MOVES,
+    MAKE_MOVE: prompts.ACTION_LINE_MAKE_MOVE,
+}
+
 # Punctuation stripped from the make_move argument token.
 _ARG_STRIP = "`'\".,:;!?()[]{}<>"
 
@@ -54,11 +61,16 @@ class ProtocolVariant:
     def __post_init__(self):
         if self.board_style not in ("unicode", "ascii", "fen"):
             raise ValueError(f"unknown board style {self.board_style!r}")
-        if not self.offer_get_board and not self.offer_get_legal_moves:
-            if not (self.inline_board and self.inline_legal_moves):
-                raise ValueError(
-                    "a make_move-only variant must inline both the board and the legal moves"
-                )
+        if self.actions == (MAKE_MOVE,) and not (self.inline_board and self.inline_legal_moves):
+            raise ValueError(
+                "a make_move-only variant must inline both the board and the legal moves"
+            )
+
+    @property
+    def actions(self) -> tuple:
+        """The offered action names in prompt order; make_move is always offered, last."""
+        offers = (self.offer_get_board, self.offer_get_legal_moves, True)
+        return tuple(name for name, offered in zip(_ACTION_LINES, offers) if offered)
 
 
 # Named configurations matching the ablation grid the harness supports.
@@ -142,11 +154,7 @@ def build_game_loop_prompt(color, variant: ProtocolVariant, board, history=()) -
     legal-move list, or the move history instead.
     """
     lines = [prompts.GAME_LOOP_HEADER.format(color=color_word(color))]
-    if variant.offer_get_board:
-        lines.append(prompts.ACTION_LINE_GET_BOARD)
-    if variant.offer_get_legal_moves:
-        lines.append(prompts.ACTION_LINE_GET_LEGAL_MOVES)
-    lines.append(prompts.ACTION_LINE_MAKE_MOVE)
+    lines += [_ACTION_LINES[name] for name in variant.actions]
     if variant.inline_board:
         lines.append(prompts.INLINE_BOARD_HEADER)
         lines.append(rules.render_board(board, variant.board_style))
@@ -161,12 +169,7 @@ def build_game_loop_prompt(color, variant: ProtocolVariant, board, history=()) -
 
 
 def invalid_action_reflection(variant: ProtocolVariant) -> str:
-    options = []
-    if variant.offer_get_board:
-        options.append(GET_CURRENT_BOARD)
-    if variant.offer_get_legal_moves:
-        options.append(GET_LEGAL_MOVES)
-    options.append(prompts.MAKE_MOVE_USAGE)
+    options = variant.actions[:-1] + (prompts.MAKE_MOVE_USAGE,)  # make_move with its argument
     return prompts.INVALID_ACTION_HEADER + ", ".join(options)
 
 
@@ -177,14 +180,7 @@ def parse_action(reply: str, variant: ProtocolVariant) -> ActionRequest | None:
     whitespace-delimited token, stripped of surrounding punctuation; missing
     arguments make the reply unparsable.
     """
-    keywords = []
-    if variant.offer_get_board:
-        keywords.append(GET_CURRENT_BOARD)
-    if variant.offer_get_legal_moves:
-        keywords.append(GET_LEGAL_MOVES)
-    keywords.append(MAKE_MOVE)
-
-    hits = [(reply.find(k), k) for k in keywords]
+    hits = [(reply.find(k), k) for k in variant.actions]
     hits = [(pos, k) for pos, k in hits if pos != -1]
     if not hits:
         return None
@@ -242,39 +238,33 @@ def run_ply(board, reply_fn, limits: DialogLimits, variant: ProtocolVariant,
             action = parse_action(reply, variant)
             if action is None:
                 transcript.unparsable_replies += 1
-                transcript.failed_attempts += 1
-                attempts += 1
-                transcript.exchanges.append(Exchange(prompt, reply, "unparsable"))
-                if attempts >= limits.max_attempts_per_turn:
-                    transcript.outcome = TOO_MANY_WRONG_ACTIONS
+                outcome, response = "unparsable", invalid_action_reflection(variant)
+            else:
+                response, move = respond_to_action(action, board, variant)
+                if move is not None:
+                    transcript.exchanges.append(Exchange(prompt, reply, MOVE_MADE))
+                    transcript.outcome = MOVE_MADE
+                    transcript.move = move.uci()
                     return transcript
-                prompt = invalid_action_reflection(variant)
-                messages.append({"role": "user", "content": prompt})
-                continue
-            response, move = respond_to_action(action, board, variant)
-            if action.kind == MAKE_MOVE:
-                if move is None:
-                    transcript.illegal_move_attempts += 1
-                    transcript.failed_attempts += 1
-                    attempts += 1
-                    transcript.exchanges.append(Exchange(prompt, reply, "illegal_move"))
-                    if attempts >= limits.max_attempts_per_turn:
-                        transcript.outcome = TOO_MANY_WRONG_ACTIONS
-                        return transcript
+                if action.kind != MAKE_MOVE:
+                    if action.kind == GET_CURRENT_BOARD:
+                        transcript.board_queries += 1
+                    else:
+                        transcript.legal_move_queries += 1
+                    transcript.exchanges.append(Exchange(prompt, reply, action.kind))
                     prompt = response
                     messages.append({"role": "user", "content": prompt})
-                    continue
-                transcript.exchanges.append(Exchange(prompt, reply, MOVE_MADE))
-                transcript.outcome = MOVE_MADE
-                transcript.move = move.uci()
+                    break  # turn consumed, next turn
+                transcript.illegal_move_attempts += 1
+                outcome = "illegal_move"
+            # The one wrong-action path: an unparsable reply or an illegal move.
+            transcript.failed_attempts += 1
+            attempts += 1
+            transcript.exchanges.append(Exchange(prompt, reply, outcome))
+            if attempts >= limits.max_attempts_per_turn:
+                transcript.outcome = TOO_MANY_WRONG_ACTIONS
                 return transcript
-            if action.kind == GET_CURRENT_BOARD:
-                transcript.board_queries += 1
-            else:
-                transcript.legal_move_queries += 1
-            transcript.exchanges.append(Exchange(prompt, reply, action.kind))
             prompt = response
             messages.append({"role": "user", "content": prompt})
-            break  # turn consumed, next turn
     transcript.outcome = MAX_TURNS
     return transcript

@@ -18,7 +18,7 @@ import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import analysis, dialog, elo, reporting, runner
 from .players import (EngineConfig, LLMEndpointConfig, MoAConfig, ModelError, RandomSpec,
@@ -49,15 +49,14 @@ def load_manifest(path: str) -> dict:
 def _endpoint_config(entry: dict) -> LLMEndpointConfig:
     if "api_key" in entry or "token" in entry:
         raise ConfigError("secrets belong in the environment, not the manifest")
-    known = {
-        "base_url", "model", "temperature", "top_p", "reasoning_effort",
-        "timeout_s", "max_retries", "api_key_env",
-    }
-    fields = {k: v for k, v in entry.items() if k in known}
-    missing = {"base_url", "model"} - fields.keys()
+    settings = {k: v for k, v in entry.items() if k != "kind"}
+    unknown = settings.keys() - {f.name for f in fields(LLMEndpointConfig)}
+    if unknown:  # a misspelt sampling setting would silently run at its default
+        raise ConfigError(f"bad manifest: unknown endpoint keys {sorted(unknown)}")
+    missing = {"base_url", "model"} - settings.keys()
     if missing:
         raise ConfigError(f"endpoint entry missing {sorted(missing)}")
-    return LLMEndpointConfig(**fields)
+    return LLMEndpointConfig(**settings)
 
 
 def _engine_command(command) -> tuple:
@@ -154,25 +153,25 @@ def variant_from(value) -> dialog.ProtocolVariant:
     raise ConfigError("variant must be a name or a settings object")
 
 
-def limits_from(value) -> dialog.DialogLimits:
-    if value is None:
-        return dialog.DialogLimits()
-    try:
-        return dialog.DialogLimits(**value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad limits: {exc}") from exc
+def _whole_number(manifest: dict, key: str, default: int) -> int:
+    """A manifest count or seed; text, a fraction or a bool would run and log something else."""
+    value = manifest.get(key, default)
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, not {value!r}")
+    return value
 
 
 def game_config(manifest: dict, subject, opponent) -> runner.GameConfig:
     color = manifest.get("subject_color", "b")
     white, black = (subject, opponent) if color == "w" else (opponent, subject)
+    limits = dialog.DialogLimits(**(manifest.get("limits") or {}))  # a bad value is a bad manifest
     try:
         return runner.GameConfig(
             white=white,
             black=black,
-            limits=limits_from(manifest.get("limits")),
+            limits=limits,
             variant=variant_from(manifest.get("variant")),
-            seed=int(manifest.get("seed", 0)),
+            seed=_whole_number(manifest, "seed", 0),
             error_policy=manifest.get("error_policy", runner.COUNT_MODEL_ERRORS_AS_LOSS),
             subject_color=color,
         )
@@ -207,13 +206,16 @@ def cmd_run(args) -> int:
     if args.out is not None:
         manifest["out_dir"] = args.out
     if args.skill:
-        manifest.setdefault("opponent", {})["skills"] = args.skill
+        opponent = manifest.get("opponent")
+        if not isinstance(opponent, dict) or opponent.get("kind") != "engine":  # else it is ignored
+            raise ConfigError("--skill needs an engine opponent")
+        opponent["skills"] = args.skill
 
     try:
-        games = int(manifest.get("games", 30))
+        games = _whole_number(manifest, "games", 30)
         if games < 1:
             raise ConfigError("games must be at least 1")
-        parallelism = int(manifest.get("parallelism", 1))
+        parallelism = _whole_number(manifest, "parallelism", 1)
         if parallelism < 1:
             raise ConfigError("parallelism must be at least 1")
         subject, model_id = subject_spec(manifest)

@@ -43,8 +43,9 @@ class DialogLimits:
 
     def __post_init__(self):
         for name in ("max_turns_per_ply", "max_attempts_per_turn", "max_full_moves"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)  # a fraction would end games early and be logged as given
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import dialog, rules
@@ -191,12 +191,23 @@ class GameRecord:
         }
 
 
+# The field names of each class a record holds, so that a newer log's extra keys are ignored.
+_FIELD_NAMES = {
+    cls: frozenset(f.name for f in fields(cls)) for cls in (dialog.Exchange, PlyTranscript, GameStats)
+}
+
+
+def _known_fields(cls, data: dict):
+    """`cls` built from the keys of `data` that are its fields; a missing required one is a TypeError."""
+    return cls(**{k: v for k, v in data.items() if k in _FIELD_NAMES[cls]})
+
+
 def _transcript_from_dict(data) -> PlyTranscript | None:
     if data is None:
         return None
-    exchanges = [dialog.Exchange(**e) for e in data.get("exchanges", [])]
-    fields = {k: v for k, v in data.items() if k != "exchanges"}
-    return PlyTranscript(exchanges=exchanges, **fields)
+    transcript = _known_fields(PlyTranscript, data)
+    transcript.exchanges = [_known_fields(dialog.Exchange, e) for e in transcript.exchanges]
+    return transcript
 
 
 def record_from_dict(data: dict) -> GameRecord:
@@ -217,7 +228,7 @@ def record_from_dict(data: dict) -> GameRecord:
         error_side=data.get("error_side"),
         subject_color=data["subject_color"],
         failed_transcript=_transcript_from_dict(data.get("failed_transcript")),
-        stats=GameStats(**data["stats"]),
+        stats=_known_fields(GameStats, data["stats"]),
         excluded=data["excluded"],
         duration_s=data.get("duration_s", 0.0),
         started_at=data.get("started_at", ""),

@@ -263,7 +263,7 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
     ({"opponent": {"kind": "scripted_moves"}}, "KeyError: 'moves'"),
     ({"subject": {"kind": "moa", "proposers": [ENDPOINT]}}, "KeyError: 'synthesizer'"),
     ({"subject": {**ENDPOINT, "timeout_s": "10"}}, "TypeError: "),
-    ({"games": "x"}, "ValueError: invalid literal for int()"),
+    ({"games": "x"}, "TypeError: games must be a JSON integer, not 'x'"),
     ({"opponent": "random"}, "AttributeError: "),
     ({"out_dir": 5}, "TypeError: expected str, bytes or os.PathLike object, not int"),
     ({"opponent": {"kind": "engine", "command": sys.executable, "skills": "ab"}},
@@ -303,12 +303,32 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
      "ValueError: movetime_ms must be unset or a positive integer, not True"),
     ({"opponent": {"kind": "engine", "command": sys.executable, "movetime_ms": None, "depth": 2.5}},
      "ValueError: depth must be unset or a positive integer, not 2.5"),
+    ({"games": "2"}, "TypeError: games must be a JSON integer, not '2'"),
+    ({"parallelism": "2"}, "TypeError: parallelism must be a JSON integer, not '2'"),
+    ({"seed": "7"}, "TypeError: seed must be a JSON integer, not '7'"),
+    ({"games": 2.9}, "TypeError: games must be a JSON integer, not 2.9"),
+    ({"seed": 1.5}, "TypeError: seed must be a JSON integer, not 1.5"),
+    ({"parallelism": True}, "TypeError: parallelism must be a JSON integer, not True"),
+    ({"limits": {"max_full_moves": 2.5}}, "ValueError: max_full_moves must be a positive integer, not 2.5"),
+    ({"limits": {"max_turns_per_ply": "3"}}, "ValueError: max_turns_per_ply must be a positive integer, not '3'"),
+    ({"limits": {"max_attempts_per_turn": 0}},
+     "ValueError: max_attempts_per_turn must be a positive integer, not 0"),
+    ({"limits": {"max_attempts_per_turn": True}},
+     "ValueError: max_attempts_per_turn must be a positive integer, not True"),
+    ({"subject": {**ENDPOINT, "temprature": 0.9}}, "unknown endpoint keys ['temprature']"),
+    ({"subject": {"kind": "moa", "proposers": [{**ENDPOINT, "top-p": 1}], "synthesizer": ENDPOINT}},
+     "unknown endpoint keys ['top-p']"),
+    ({"subject": {"kind": "moa", "proposers": [ENDPOINT], "synthesizer": {**ENDPOINT, "name": "s"}}},
+     "unknown endpoint keys ['name']"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
         "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers",
         "non-uci-move", "number-move", "number-reply", "text-cycle", "text-skill", "fractional-skill",
         "bool-skill", "nan-temperature", "infinite-top-p", "nan-timeout", "negative-retries",
         "engine-without-movetime-or-depth", "text-movetime", "zero-depth", "negative-movetime",
-        "bool-movetime", "fractional-depth"])
+        "bool-movetime", "fractional-depth", "text-number-games", "text-parallelism", "text-seed",
+        "fractional-games", "fractional-seed", "bool-parallelism", "fractional-max-full-moves",
+        "text-max-turns", "zero-max-attempts", "bool-max-attempts", "misspelt-subject-key",
+        "unknown-proposer-key", "unknown-synthesizer-key"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2
@@ -398,6 +418,29 @@ def test_run_rejects_manifest_with_secrets(tmp_path, capsys):
     )
     assert main(["run", "--config", str(manifest)]) == 2
     assert "environment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, overrides, message", [
+    ([], {"subject": {**ENDPOINT, "api_key": "oops", "temprature": 0.9}},
+     "secrets belong in the environment, not the manifest"),
+    (["--skill", "3"], {}, "--skill needs an engine opponent"),
+    (["--skill", "3"], {"opponent": {"kind": "scripted_moves", "moves": ["e2e4"]}},
+     "--skill needs an engine opponent"),
+    (["--skill", "3"], {"opponent": "random"}, "--skill needs an engine opponent"),
+], ids=["secret-before-unknown-key", "skill-random-opponent", "skill-scripted-opponent",
+        "skill-text-opponent"])
+def test_run_refuses_settings_it_would_ignore(tmp_path, capsys, flags, overrides, message):
+    manifest = write_manifest(tmp_path, **overrides)
+    assert main(["run", "--config", str(manifest), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_skill_flag_picks_engine_skills(tmp_path, capsys):
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}])
+    manifest = write_manifest(tmp_path, opponent={"kind": "engine", "command": engine, "skills": [1, 2]}, games=1)
+    assert main(["run", "--config", str(manifest), "--skill", "2"]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["games-skill-2.jsonl"]
 
 
 def test_run_unknown_variant_is_config_error(tmp_path, capsys):

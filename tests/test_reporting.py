@@ -7,6 +7,7 @@ import json
 import pytest
 
 from agentchess import reporting
+from agentchess.cli import main
 from agentchess.reporting import (
     LEADERBOARD_COLUMNS,
     aggregate,
@@ -79,6 +80,31 @@ def test_log_entry_ignores_unknown_future_fields(tmp_path):
     loaded, _ = load_logs(path)
     record = entry_to_record(loaded[0])
     assert record.termination == "max_moves"
+
+
+def test_log_game_ignores_unknown_fields_at_every_level(tmp_path, capsys):
+    record = played_record()
+    entry = record_to_entry(record, "mock")
+    transcripts = [p["transcript"] for p in entry["record"]["plies"] if p["transcript"]]
+    transcripts.append(entry["record"]["failed_transcript"])
+    assert transcripts[0]["exchanges"] and entry["record"]["failed_transcript"]
+    for transcript in transcripts:
+        transcript["reply_latency_s"] = 0.5
+        for exchange in transcript["exchanges"]:
+            exchange["http_status"] = 200
+    entry["record"]["stats"]["subject_wait_s"] = 1.5
+    entry["record"]["plies"][0]["engine_s"] = 0.1
+    path = tmp_path / "games.jsonl"
+    append_log(path, {**entry, "novel_field": 42})
+
+    diagnostics = []
+    ((_, clone),) = read_log(path, diagnostics)
+    assert diagnostics == []
+    assert clone.fingerprint() == record.fingerprint()
+    assert clone.to_dict() == record.to_dict()
+    assert main(["report", str(path), "--out", str(tmp_path / "reports")]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["model"], row["games"]) for row in rows] == [("mock", "1")]
 
 
 def test_replayed_entry_recomputes_identical_metrics(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 import socket
 import ssl
@@ -12,6 +13,7 @@ import time
 import urllib.request
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,28 @@ def test_llm_reply_http_error_is_transport():
         with pytest.raises(ModelError) as exc:
             llm_reply([{"role": "user", "content": "hi"}], endpoint(url, "http-500"))
     assert exc.value.reason == "transport"
+
+
+def test_llm_reply_from_a_cold_interpreter_loads_its_transport_at_the_call():
+    # This process already holds http.client (the chat server uses it), so only
+    # a fresh interpreter shows llm_reply importing what it needs when called.
+    code = (
+        "import sys\n"
+        "from agentchess.players import LLMEndpointConfig, ModelError, llm_reply\n"
+        "assert 'http.client' not in sys.modules\n"
+        "messages = [{'role': 'user', 'content': 'make_move e7e5'}]\n"
+        "print(llm_reply(messages, LLMEndpointConfig(sys.argv[1], 'echo', timeout_s=10.0)))\n"
+        "try:\n"
+        "    llm_reply(messages, LLMEndpointConfig(sys.argv[1], 'http-500', timeout_s=10.0))\n"
+        "except ModelError as exc:\n"
+        "    print(f'{exc.reason}|{exc.detail}')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(players.__file__).parents[1])}
+    with chat_server() as (url, _):
+        run = subprocess.run([sys.executable, "-c", code, url], env=env, capture_output=True, text=True,
+                             timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == ["make_move e7e5", "transport|HTTP 500"]
 
 
 def test_llm_reply_timeout_while_reading_the_body():

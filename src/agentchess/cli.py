@@ -46,13 +46,17 @@ def load_manifest(path: str) -> dict:
     return manifest
 
 
+def _refuse_unknown_keys(entry: dict, known, what: str) -> None:
+    unknown = entry.keys() - set(known)
+    if unknown:  # a misspelt setting would silently run at its default
+        raise ConfigError(f"bad manifest: unknown {what} keys {sorted(unknown)}")
+
+
 def _endpoint_config(entry: dict) -> LLMEndpointConfig:
     if "api_key" in entry or "token" in entry:
         raise ConfigError("secrets belong in the environment, not the manifest")
     settings = {k: v for k, v in entry.items() if k != "kind"}
-    unknown = settings.keys() - {f.name for f in fields(LLMEndpointConfig)}
-    if unknown:  # a misspelt sampling setting would silently run at its default
-        raise ConfigError(f"bad manifest: unknown endpoint keys {sorted(unknown)}")
+    _refuse_unknown_keys(settings, [f.name for f in fields(LLMEndpointConfig)], "endpoint")
     missing = {"base_url", "model"} - settings.keys()
     if missing:
         raise ConfigError(f"endpoint entry missing {sorted(missing)}")
@@ -87,6 +91,7 @@ def subject_spec(manifest: dict):
         config = _endpoint_config(entry)
         return config, config.model
     if kind == "moa":
+        _refuse_unknown_keys(entry, ("kind", "proposers", "synthesizer", "name"), "moa subject")
         proposers = tuple(_endpoint_config(p) for p in _as_list("proposers", entry.get("proposers", [])))
         if not proposers:
             raise ConfigError("moa subject needs at least one proposer")
@@ -97,6 +102,7 @@ def subject_spec(manifest: dict):
         model_id = entry.get("name") or f"moa-{len(proposers)}x-{config.synthesizer.model}"
         return config, model_id
     if kind == "scripted":
+        _refuse_unknown_keys(entry, ("kind", "replies", "cycle", "name"), "scripted subject")
         replies = _as_list("replies", entry.get("replies", []))
         if not replies:
             raise ConfigError("scripted subject needs a replies list")
@@ -105,6 +111,7 @@ def subject_spec(manifest: dict):
             entry.get("name", "scripted"),
         )
     if kind == "random":
+        _refuse_unknown_keys(entry, ("kind", "name"), "random subject")
         return RandomSpec(), entry.get("name", "random")
     raise ConfigError(f"unknown subject kind {kind!r}")
 
@@ -114,10 +121,14 @@ def opponent_cells(manifest: dict) -> list:
     entry = manifest.get("opponent", {"kind": "random"})
     kind = entry.get("kind", "random")
     if kind == "random":
+        _refuse_unknown_keys(entry, ("kind",), "random opponent")
         return [("random", RandomSpec())]
     if kind == "scripted_moves":
+        _refuse_unknown_keys(entry, ("kind", "moves"), "scripted_moves opponent")
         return [("scripted", ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
     if kind == "engine":
+        _refuse_unknown_keys(entry, ("kind", "command", "path", "skills", "skill", "skill_option",
+                                     "movetime_ms", "depth"), "engine opponent")
         command = _engine_command(entry.get("command") or entry.get("path"))
         skills = _as_list("skills", entry.get("skills", []))
         skills = skills or ([entry["skill"]] if "skill" in entry else [None])
@@ -211,6 +222,8 @@ def cmd_run(args) -> int:
             raise ConfigError("--skill needs an engine opponent")
         opponent["skills"] = args.skill
 
+    _refuse_unknown_keys(manifest, ("subject", "opponent", "limits", "variant", "games", "seed", "parallelism",
+                                     "out_dir", "subject_color", "error_policy"), "top-level")
     try:
         games = _whole_number(manifest, "games", 30)
         if games < 1:

@@ -322,6 +322,17 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
      "unknown endpoint keys ['top-p']"),
     ({"subject": {"kind": "moa", "proposers": [ENDPOINT], "synthesizer": {**ENDPOINT, "name": "s"}}},
      "unknown endpoint keys ['name']"),
+    ({"parallelsim": 2}, "unknown top-level keys ['parallelsim']"),
+    ({"opponent": {"kind": "engine", "command": sys.executable, "movetime": 5}},
+     "unknown engine opponent keys ['movetime']"),
+    ({"opponent": {"kind": "random", "skill": 3}}, "unknown random opponent keys ['skill']"),
+    ({"opponent": {"kind": "scripted_moves", "moves": ["e2e4"], "cycle": False}},
+     "unknown scripted_moves opponent keys ['cycle']"),
+    ({"subject": {"kind": "random", "name": "r", "seed": 3}}, "unknown random subject keys ['seed']"),
+    ({"subject": {"kind": "scripted", "replies": ["get_current_board"], "cycles": False}},
+     "unknown scripted subject keys ['cycles']"),
+    ({"subject": {"kind": "moa", "proposers": [ENDPOINT], "synthesizer": ENDPOINT, "judge": ENDPOINT}},
+     "unknown moa subject keys ['judge']"),
 ], ids=["scripted-moves-without-moves", "moa-without-synthesizer", "text-timeout", "text-games",
         "text-opponent", "number-out-dir", "text-skills", "text-replies", "text-moves", "text-proposers",
         "non-uci-move", "number-move", "number-reply", "text-cycle", "text-skill", "fractional-skill",
@@ -330,7 +341,9 @@ ENDPOINT = {"kind": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
         "bool-movetime", "fractional-depth", "text-number-games", "text-parallelism", "text-seed",
         "fractional-games", "fractional-seed", "bool-parallelism", "fractional-max-full-moves",
         "text-max-turns", "zero-max-attempts", "bool-max-attempts", "misspelt-subject-key",
-        "unknown-proposer-key", "unknown-synthesizer-key"])
+        "unknown-proposer-key", "unknown-synthesizer-key", "misspelt-top-level-key",
+        "misspelt-engine-key", "unknown-random-opponent-key", "unknown-scripted-moves-key",
+        "unknown-random-subject-key", "misspelt-scripted-subject-key", "unknown-moa-key"])
 def test_run_bad_manifest_is_a_config_error(tmp_path, capsys, overrides, message):
     manifest = write_manifest(tmp_path, **overrides)
     assert main(["run", "--config", str(manifest)]) == 2

@@ -360,7 +360,8 @@ class EngineConfig:
             yield lambda board, rng: engine_move(board, engine, go)
 
     def describe(self):
-        return {"kind": "engine", "command": list(self.command), "skill": self.skill}
+        return {"kind": "engine", "command": list(self.command), "skill": self.skill,
+                "movetime_ms": self.movetime_ms, "depth": self.depth}
 
 
 class UciEngine:

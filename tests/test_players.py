@@ -540,9 +540,9 @@ _SYNTH = LLMEndpointConfig("http://synth", "synth")
 @pytest.mark.parametrize("player, is_dialog, described", [
     (RandomSpec(), False, {"kind": "random"}),
     (EngineConfig(_ENGINE_COMMAND), False,
-     {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": None}),
-    (EngineConfig(_ENGINE_COMMAND, skill=3, skill_option="Skill Level"), False,
-     {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": 3}),
+     {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": None, "movetime_ms": 1000, "depth": None}),
+    (EngineConfig(_ENGINE_COMMAND, skill=3, skill_option="Skill Level", movetime_ms=None, depth=12), False,
+     {"kind": "engine", "command": list(_ENGINE_COMMAND), "skill": 3, "movetime_ms": None, "depth": 12}),
     (LLMEndpointConfig("http://host/v1", "m", reasoning_effort="low"), True,
      {"kind": "endpoint", "model": "m", "base_url": "http://host/v1", "reasoning_effort": "low"}),
     (MoAConfig(proposers=(LLMEndpointConfig("http://a", "p1"),

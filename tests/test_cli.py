@@ -137,21 +137,28 @@ def test_run_engine_grid_one_log_per_skill(tmp_path, capsys):
 START_POSITION = "position fen rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
 
-@pytest.mark.parametrize("settings, handshake, go", [
-    ({"skills": [3], "movetime_ms": 250}, ["setoption name Skill value 3"], "go movetime 250"),
-    ({"depth": 4, "movetime_ms": None}, [], "go depth 4"),
-    ({"depth": 4}, [], "go depth 4 movetime 1000"),
-], ids=["skill-movetime", "depth-only", "depth-movetime"])
-def test_run_sends_the_engine_exactly_these_lines(tmp_path, capsys, settings, handshake, go):
+@pytest.mark.parametrize("settings, cell, handshake, go", [
+    ({"skills": [3], "movetime_ms": 250}, "skill-3", ["setoption name Skill value 3"], "go movetime 250"),
+    ({"depth": 4, "movetime_ms": None}, "engine", [], "go depth 4"),
+    ({"depth": 4}, "engine", [], "go depth 4 movetime 1000"),
+    ({"skill": 3}, "skill-3", ["setoption name Skill value 3"], "go movetime 1000"),
+    ({"path": True}, "engine", [], "go movetime 1000"),
+    ({}, "engine", [], "go movetime 1000"),
+], ids=["skill-movetime", "depth-only", "depth-movetime", "singular-skill", "path", "no-skill"])
+def test_run_sends_the_engine_exactly_these_lines(tmp_path, capsys, settings, cell, handshake, go):
     received = tmp_path / "received.txt"
     engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}], log=str(received))
+    opponent = {"kind": "engine", "command": engine, **settings}
+    if opponent.pop("path", False):  # the engine named by `path` in place of `command`
+        opponent["path"] = opponent.pop("command")
     manifest = write_manifest(
         tmp_path,
         subject={"kind": "scripted", "replies": ["banana"], "name": "hopeless"},
-        opponent={"kind": "engine", "command": engine, **settings},
+        opponent=opponent,
         games=1,
     )
     assert main(["run", "--config", str(manifest)]) == 0
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == [f"games-{cell}.jsonl"]
     # The engine moves first as white; the subject then loses on wrong actions.
     assert received.read_text().splitlines() == ["uci", *handshake, "isready", START_POSITION, go, "quit"]
 

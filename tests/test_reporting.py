@@ -107,6 +107,43 @@ def test_log_game_ignores_unknown_fields_at_every_level(tmp_path, capsys):
     assert [(row["model"], row["games"]) for row in rows] == [("mock", "1")]
 
 
+OPTIONAL_RECORD_DEFAULTS = {
+    "termination_detail": None,
+    "error_side": None,
+    "failed_transcript": None,
+    "duration_s": 0.0,
+    "started_at": "",
+    "finished_at": "",
+    "usage": [],
+}
+
+
+@pytest.mark.parametrize("key", OPTIONAL_RECORD_DEFAULTS)
+def test_log_record_without_an_optional_key_loads_its_default(tmp_path, key):
+    record = played_record()
+    entry = record_to_entry(record, "mock")
+    del entry["record"][key]
+    path = tmp_path / "games.jsonl"
+    append_log(path, entry)
+    diagnostics = []
+    ((_, clone),) = read_log(path, diagnostics)
+    assert diagnostics == []
+    assert getattr(clone, key) == OPTIONAL_RECORD_DEFAULTS[key]
+    assert clone.fingerprint() == record.fingerprint()
+
+
+@pytest.mark.parametrize("key", ["config", "plies", "termination", "subject_color", "stats", "excluded"])
+def test_log_record_without_a_required_key_is_a_bad_record(tmp_path, key):
+    entry = record_to_entry(played_record(), "mock")
+    del entry["record"][key]
+    path = tmp_path / "games.jsonl"
+    append_log(path, entry)
+    diagnostics = []
+    ((_, record),) = read_log(path, diagnostics)
+    assert record == f"bad record: KeyError({key!r})"
+    assert diagnostics == [f"{path}:1: {record}"]
+
+
 def test_replayed_entry_recomputes_identical_metrics(tmp_path):
     path = tmp_path / "games.jsonl"
     record = played_record()

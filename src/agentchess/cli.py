@@ -126,24 +126,14 @@ def opponent_cells(manifest: dict) -> list:
     if kind == "scripted_moves":
         _refuse_unknown_keys(entry, ("kind", "moves"), "scripted_moves opponent")
         return [("scripted", ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
-    if kind == "engine":
-        _refuse_unknown_keys(entry, ("kind", "command", "path", "skills", "skill", "skill_option",
-                                     "movetime_ms", "depth"), "engine opponent")
-        command = _engine_command(entry.get("command") or entry.get("path"))
-        skills = _as_list("skills", entry.get("skills", []))
-        skills = skills or ([entry["skill"]] if "skill" in entry else [None])
-        cells = []
-        for skill in skills:
-            config = EngineConfig(
-                command=command,
-                skill=skill,
-                skill_option=entry.get("skill_option", "Skill"),
-                movetime_ms=entry.get("movetime_ms", 1000),
-                depth=entry.get("depth"),
-            )
-            name = "engine" if skill is None else f"skill-{skill}"
-            cells.append((name, config))
-        return cells
+    if kind == "engine":  # every other key is an EngineConfig setting, unset ones at its defaults
+        grid_keys = ("kind", "path", "skills")
+        _refuse_unknown_keys(entry, [*grid_keys, *(f.name for f in fields(EngineConfig))], "engine opponent")
+        settings = {k: v for k, v in entry.items() if k not in grid_keys}
+        settings["command"] = _engine_command(entry.get("command") or entry.get("path"))
+        skills = _as_list("skills", entry.get("skills", [])) or [entry.get("skill")]
+        return [("engine" if skill is None else f"skill-{skill}", EngineConfig(**{**settings, "skill": skill}))
+                for skill in skills]
     raise ConfigError(f"unknown opponent kind {kind!r}")
 
 

@@ -16,7 +16,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import dialog, rules
@@ -130,15 +130,15 @@ class GameRecord:
     config: dict
     plies: list
     termination: str
-    termination_detail: str | None
-    error_side: str | None
     subject_color: str
-    failed_transcript: PlyTranscript | None
     stats: GameStats
     excluded: bool
-    duration_s: float
-    started_at: str
-    finished_at: str
+    termination_detail: str | None = None
+    error_side: str | None = None
+    failed_transcript: PlyTranscript | None = None
+    duration_s: float = 0.0
+    started_at: str = ""
+    finished_at: str = ""
     usage: list = field(default_factory=list)  # per-reply token usage, as reported
 
     @property
@@ -191,15 +191,22 @@ class GameRecord:
         }
 
 
-# The field names of each class a record holds, so that a newer log's extra keys are ignored.
-_FIELD_NAMES = {
-    cls: frozenset(f.name for f in fields(cls)) for cls in (dialog.Exchange, PlyTranscript, GameStats)
+# Each class a record holds: its field names, so that a newer log's extra keys are
+# ignored, and those without a default, which a log must give.
+_FIELDS = {
+    cls: (frozenset(f.name for f in fields(cls)),
+          [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
+    for cls in (dialog.Exchange, PlyTranscript, GameStats, GameRecord)
 }
 
 
 def _known_fields(cls, data: dict):
-    """`cls` built from the keys of `data` that are its fields; a missing required one is a TypeError."""
-    return cls(**{k: v for k, v in data.items() if k in _FIELD_NAMES[cls]})
+    """`cls` built from the keys of `data` that are its fields; a missing required one is a KeyError."""
+    names, required = _FIELDS[cls]
+    for name in required:
+        if name not in data:
+            raise KeyError(name)
+    return cls(**{k: v for k, v in data.items() if k in names})
 
 
 def _transcript_from_dict(data) -> PlyTranscript | None:
@@ -211,30 +218,14 @@ def _transcript_from_dict(data) -> PlyTranscript | None:
 
 
 def record_from_dict(data: dict) -> GameRecord:
-    plies = [
-        PlyRecord(
-            mover=p["mover"],
-            uci=p["uci"],
-            fen_after=p["fen_after"],
-            transcript=_transcript_from_dict(p.get("transcript")),
-        )
-        for p in data["plies"]
+    record = _known_fields(GameRecord, data)
+    record.plies = [
+        PlyRecord(p["mover"], p["uci"], p["fen_after"], _transcript_from_dict(p.get("transcript")))
+        for p in record.plies
     ]
-    return GameRecord(
-        config=data["config"],
-        plies=plies,
-        termination=data["termination"],
-        termination_detail=data.get("termination_detail"),
-        error_side=data.get("error_side"),
-        subject_color=data["subject_color"],
-        failed_transcript=_transcript_from_dict(data.get("failed_transcript")),
-        stats=_known_fields(GameStats, data["stats"]),
-        excluded=data["excluded"],
-        duration_s=data.get("duration_s", 0.0),
-        started_at=data.get("started_at", ""),
-        finished_at=data.get("finished_at", ""),
-        usage=data.get("usage", []),
-    )
+    record.failed_transcript = _transcript_from_dict(record.failed_transcript)
+    record.stats = _known_fields(GameStats, record.stats)
+    return record
 
 
 def _termination_from_status(status: rules.GameStatus, subject_color: str) -> str:

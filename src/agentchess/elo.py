@@ -139,12 +139,6 @@ def build_skill_map(levels, ratings=None) -> dict:
     return mapping
 
 
-def opponent_skill(record):
-    """Skill level of the subject's engine opponent; None for other opponents."""
-    opponent = record.config["white" if record.subject_color == "b" else "black"]
-    return opponent.get("skill") if opponent.get("kind") == "engine" else None
-
-
 def outcomes_from_records(records, anchors=None) -> list:
     """Scoreable records against engine opponents, as rated outcomes.
 
@@ -153,11 +147,18 @@ def outcomes_from_records(records, anchors=None) -> list:
     excluded are skipped. Engine skill metadata is required to anchor the
     opponent's rating: the default table, with `anchors` (skill -> rating)
     overriding it, and strictly increasing over every skill either names.
+    One skill is one anchor, so its games must all log one engine entry.
     """
     scored = [r for r in records if not r.excluded]
-    skills = [opponent_skill(r) for r in scored]
+    opponents = [r.config["white" if r.subject_color == "b" else "black"] for r in scored]
+    skills = [o.get("skill") if o.get("kind") == "engine" else None for o in opponents]
     if None in skills:
         raise ValueError("record lacks engine-skill metadata; Elo needs rated engine opponents")
+    entries = {}  # skill -> the engine entry of its first game
+    for skill, entry in zip(skills, opponents):
+        if entries.setdefault(skill, entry) != entry:
+            raise ValueError(f"skill {skill} was played at two engine settings, {entries[skill]} and {entry}; "
+                             "rate them apart")
     ratings = build_skill_map(set(skills) | set(anchors or ()), anchors)
     return [MatchOutcome(ratings[s], r.score(), r.subject_color) for r, s in zip(scored, skills)]
 

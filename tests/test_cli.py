@@ -877,6 +877,27 @@ def test_elo_from_engine_logs(tmp_path, capsys):
     assert "boundary=clamped_low" in out
 
 
+def test_elo_refuses_one_skill_at_two_engine_settings(tmp_path, capsys):
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}])
+    logs = []
+    for movetime_ms in (5, 1000):
+        manifest = write_manifest(
+            tmp_path,
+            subject={"kind": "scripted", "replies": ["banana"], "name": "hopeless"},
+            opponent={"kind": "engine", "command": engine, "skills": [1], "movetime_ms": movetime_ms},
+            games=1,
+            out_dir=str(tmp_path / f"runs-{movetime_ms}"),
+        )
+        assert main(["run", "--config", str(manifest)]) == 0
+        logs.append(str(tmp_path / f"runs-{movetime_ms}" / "games-skill-1.jsonl"))
+    capsys.readouterr()
+    assert main(["elo", *logs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: skill 1 was played at two engine settings, ")
+    assert "'movetime_ms': 5," in err and "'movetime_ms': 1000," in err
+
+
 def test_elo_anchor_override(tmp_path, capsys):
     engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e2e4"}])
     manifest = write_manifest(

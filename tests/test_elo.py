@@ -174,10 +174,10 @@ def test_build_skill_map_rejects_non_increasing():
         build_skill_map([1, 2], ratings={2: 100.0})
 
 
-def engine_record(termination, skill, **kwargs):
+def engine_record(termination, skill, settings=None, **kwargs):
     return make_record(
         termination,
-        opponent={"kind": "engine", "skill": skill, "command": ["engine"]},
+        opponent={"kind": "engine", "skill": skill, "command": ["engine"], **(settings or {})},
         **kwargs,
     )
 
@@ -211,6 +211,29 @@ def test_outcomes_from_records_skips_excluded():
 def test_outcomes_from_records_requires_engine_skill():
     with pytest.raises(ValueError):
         outcomes_from_records([make_record("checkmate_llm")])  # random opponent
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"movetime_ms": 5, "depth": None}, {"movetime_ms": 1000, "depth": None}),
+    ({"movetime_ms": 5, "depth": None}, {"movetime_ms": 5, "depth": None}),
+    (None, None),  # logs written before the engine's search settings were
+], ids=["settings-differ", "settings-agree", "settings-unlogged"])
+def test_outcomes_from_records_one_skill_one_engine_entry(first, second):
+    records = [
+        engine_record("checkmate_llm", 1, first),
+        engine_record("checkmate_opponent", 1, second),
+        engine_record("max_moves", 2, {"movetime_ms": 9, "depth": None}),  # another anchor
+        engine_record("model_error", 1, {"movetime_ms": 7}, excluded=True),  # never scored
+    ]
+    if first == second:
+        assert [o.opponent_rating for o in outcomes_from_records(records)] == [250.0, 250.0, 375.0]
+        return
+    with pytest.raises(ValueError) as raised:
+        outcomes_from_records(records)
+    assert str(raised.value) == (
+        f"skill 1 was played at two engine settings, {records[0].config['white']} and "
+        f"{records[1].config['white']}; rate them apart"
+    )
 
 
 def test_outcomes_from_records_custom_map():

@@ -243,7 +243,7 @@ def play_game(cfg: GameConfig) -> GameRecord:
     function indicate harness bugs (for example a scripted mover supplying
     an illegal move), never game outcomes.
     """
-    started = time.time()
+    started = time.monotonic()  # a wall-clock step mid-game must not skew the duration
     started_at = datetime.now(timezone.utc).isoformat()
     subject_color = cfg.resolve_subject_color()
     rng = random.Random(cfg.seed)
@@ -321,7 +321,7 @@ def play_game(cfg: GameConfig) -> GameRecord:
         failed_transcript=failed_transcript,
         stats=stats,
         excluded=excluded,
-        duration_s=time.time() - started,
+        duration_s=time.monotonic() - started,
         started_at=started_at,
         finished_at=datetime.now(timezone.utc).isoformat(),
         usage=usage,

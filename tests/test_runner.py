@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -115,6 +116,20 @@ def test_random_vs_random_is_seeded_and_replayable():
         "checkmate_llm", "checkmate_opponent"
     }
     assert one.ply_count <= 200
+
+
+def test_duration_ignores_a_wall_clock_step_back(monkeypatch):
+    real_time = time.time
+    reads = []
+
+    def stepping_clock():  # set back an hour (an NTP step, say) once the game has started
+        reads.append(None)
+        return real_time() - (3600.0 if len(reads) > 1 else 0.0)
+
+    monkeypatch.setattr(time, "time", stepping_clock)
+    record = play_game(GameConfig(white=RandomSpec(), black=RandomSpec(), seed=123))
+    assert 0.0 <= record.duration_s < 60.0
+    assert record.started_at.endswith("+00:00") and record.finished_at.endswith("+00:00")
 
 
 def test_random_vs_random_subject_defaults_to_black():

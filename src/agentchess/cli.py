@@ -127,9 +127,8 @@ def opponent_cells(manifest: dict) -> list:
         _refuse_unknown_keys(entry, ("kind", "moves"), "scripted_moves opponent")
         return [("scripted", ScriptedMoverSpec(tuple(_as_list("moves", entry["moves"]))))]
     if kind == "engine":  # every other key is an EngineConfig setting, unset ones at its defaults
-        grid_keys = ("kind", "path", "skills")
-        _refuse_unknown_keys(entry, [*grid_keys, *(f.name for f in fields(EngineConfig))], "engine opponent")
-        settings = {k: v for k, v in entry.items() if k not in grid_keys}
+        settings = {k: v for k, v in entry.items() if k not in ("kind", "path", "skills")}
+        _refuse_unknown_keys(settings, [f.name for f in fields(EngineConfig)], "engine opponent")
         settings["command"] = _engine_command(entry.get("command") or entry.get("path"))
         skills = _as_list("skills", entry.get("skills", [])) or [entry.get("skill")]
         return [("engine" if skill is None else f"skill-{skill}", EngineConfig(**{**settings, "skill": skill}))

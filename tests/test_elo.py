@@ -216,7 +216,7 @@ def test_outcomes_from_records_requires_engine_skill():
 @pytest.mark.parametrize("first, second", [
     ({"movetime_ms": 5, "depth": None}, {"movetime_ms": 1000, "depth": None}),
     ({"movetime_ms": 5, "depth": None}, {"movetime_ms": 5, "depth": None}),
-    (None, None),  # logs written before the engine's search settings were
+    (None, None),  # entries written before the engine's search settings were logged
 ], ids=["settings-differ", "settings-agree", "settings-unlogged"])
 def test_outcomes_from_records_one_skill_one_engine_entry(first, second):
     records = [

@@ -426,17 +426,19 @@ def test_engine_evaluate_without_a_score_line(tmp_path):
 
 def test_engine_silent_in_a_search_is_killed_at_its_deadline(tmp_path, monkeypatch):
     monkeypatch.setattr(players, "SEARCH_GRACE_S", 0.2)  # short deadlines keep the test fast
-    monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.3)
+    monkeypatch.setattr(players, "DEPTH_SEARCH_TIMEOUT_S", 0.4)
     command = fake_engine(tmp_path, [{"score": "cp 5", "bestmove": "e2e4"}], silent_after_go=1)
     threads = threading.enumerate()
     started = time.monotonic()
-    with UciEngine(command).start() as engine:
-        assert engine.bestmove(rules.START_FEN, "go movetime 100") == "e2e4"
-        with pytest.raises(ModelError, match=r"^engine: no bestmove in 0\.3 s$"):
-            engine.bestmove(rules.START_FEN, "go movetime 100")
+    # A search with a movetime gets that movetime plus the grace; one without gets the depth timeout.
+    for go, deadline in (("go movetime 100", r"0\.3"), ("go depth 4", r"0\.4"), ("go depth 4 movetime 100", r"0\.3")):
+        with UciEngine(command).start() as engine:
+            assert engine.bestmove(rules.START_FEN, go) == "e2e4"
+            with pytest.raises(ModelError, match=rf"^engine: no bestmove in {deadline} s$"):
+                engine.bestmove(rules.START_FEN, go)
     with UciEngine(command).start() as engine:
         assert engine.evaluate(rules.START_FEN, 20) == (("cp", 5), "e2e4")
-        with pytest.raises(ModelError, match=r"^engine: no bestmove in 0\.3 s$"):
+        with pytest.raises(ModelError, match=r"^engine: no bestmove in 0\.4 s$"):
             engine.evaluate(rules.START_FEN, 20)
     # The fake ignores `quit` once silent, so only a kill at the deadline
     # keeps each quit() from waiting out its 5 s.

@@ -316,7 +316,7 @@ def moa_reply(messages, cfg: MoAConfig, reply_fn=llm_reply) -> str:
 # An engine still silent at a read's deadline is killed. The handshake (launch
 # to `readyok`, and `ucinewgame` to `readyok`) has HANDSHAKE_TIMEOUT_S; a search
 # (`go` to `bestmove`) has its movetime plus SEARCH_GRACE_S, or
-# DEPTH_SEARCH_TIMEOUT_S when its `go` line sets no movetime.
+# DEPTH_SEARCH_TIMEOUT_S when it sets no movetime.
 HANDSHAKE_TIMEOUT_S = 10.0
 SEARCH_GRACE_S = 10.0
 DEPTH_SEARCH_TIMEOUT_S = 600.0
@@ -350,14 +350,9 @@ class EngineConfig:
 
     @contextmanager
     def play(self, usage):
-        go = "go"
-        if self.depth is not None:
-            go += f" depth {self.depth}"
-        if self.movetime_ms is not None:
-            go += f" movetime {self.movetime_ms}"
         options = [] if self.skill is None else [(self.skill_option, self.skill)]
         with UciEngine(self.command, options).start() as engine:
-            yield lambda board, rng: engine_move(board, engine, go)
+            yield lambda board, rng: engine_move(board, engine, self.depth, self.movetime_ms)
 
     def describe(self):
         return {"kind": "engine", "command": list(self.command), "skill": self.skill,
@@ -432,11 +427,11 @@ class UciEngine:
         self._send("ucinewgame")
         self._wait_ready(time.monotonic() + HANDSHAKE_TIMEOUT_S, "no readyok after ucinewgame")
 
-    def _search(self, fen: str, go: str) -> tuple:
-        """Search from `fen` with the `go` line; return (last info score or None, bestmove tokens)."""
-        words = go.split()
-        timeout = (int(words[words.index("movetime") + 1]) / 1000 + SEARCH_GRACE_S
-                   if "movetime" in words else DEPTH_SEARCH_TIMEOUT_S)
+    def _search(self, fen: str, depth=None, movetime_ms=None) -> tuple:
+        """Search `fen` to `depth` and/or for `movetime_ms`; return (last info score or None, bestmove tokens)."""
+        limits = (("depth", depth), ("movetime", movetime_ms))
+        go = " ".join(["go"] + [f"{name} {value}" for name, value in limits if value is not None])
+        timeout = DEPTH_SEARCH_TIMEOUT_S if movetime_ms is None else movetime_ms / 1000 + SEARCH_GRACE_S
         deadline, silence = time.monotonic() + timeout, f"no bestmove in {timeout:g} s"
         self._send(f"position fen {fen}")
         self._send(go)
@@ -454,20 +449,13 @@ class UciEngine:
             elif tokens[0] == "bestmove":
                 return score, tokens
 
-    def bestmove(self, fen: str, go: str) -> str:
-        """Search from `fen` with the `go` line and return the engine's move text."""
-        _, tokens = self._search(fen, go)
-        if len(tokens) < 2:
-            raise ModelError("engine", f"bad bestmove line: {tokens[0]!r}")
-        return tokens[1]
-
     def evaluate(self, fen: str, depth: int):
         """Search from `fen`, returning ((kind, value), best move text or None).
 
         kind is "cp" or "mate", from the side to move's perspective as UCI
         defines it; value comes from the last info line of the search.
         """
-        score, tokens = self._search(fen, f"go depth {depth}")
+        score, tokens = self._search(fen, depth)
         if score is None or score[0] not in ("cp", "mate"):
             raise ModelError("engine", f"search returned no score for {fen}")
         best = tokens[1] if len(tokens) > 1 else "(none)"
@@ -500,14 +488,16 @@ class UciEngine:
         self.quit()
 
 
-def engine_move(board, engine: UciEngine, go: str) -> rules.Move:
-    """Ask a running engine for a move with the `go` line and insist it is legal."""
-    text = engine.bestmove(rules.render_fen(board), go)
+def engine_move(board, engine: UciEngine, depth, movetime_ms) -> rules.Move:
+    """Ask a running engine for a move, searching to `depth` and/or for `movetime_ms`, and insist it is legal."""
+    _, tokens = engine._search(rules.render_fen(board), depth, movetime_ms)
+    if len(tokens) < 2:
+        raise ModelError("engine", f"bad bestmove line: {tokens[0]!r}")
     try:
-        move = rules.Move.from_uci(text)
+        move = rules.Move.from_uci(tokens[1])
     except rules.MoveParseError as exc:
-        raise ModelError("engine", f"unparsable bestmove {text!r}") from exc
+        raise ModelError("engine", f"unparsable bestmove {tokens[1]!r}") from exc
     if move not in rules.legal_moves(board):
-        raise ModelError("engine", f"illegal bestmove {text!r} in {rules.render_fen(board)}")
+        raise ModelError("engine", f"illegal bestmove {tokens[1]!r} in {rules.render_fen(board)}")
     return move
 

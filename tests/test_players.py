@@ -43,7 +43,7 @@ def endpoint(base_url, model, **kwargs) -> LLMEndpointConfig:
     return LLMEndpointConfig(base_url=base_url, model=model, **kwargs)
 
 
-GO = "go movetime 1000"
+GO = (None, 1000)  # engine_move's depth and movetime_ms: `go movetime 1000`
 
 
 def fake_engine(tmp_path, responses, **extra) -> tuple:
@@ -351,7 +351,7 @@ def test_engine_scripted_bestmove(tmp_path):
     command = fake_engine(tmp_path, [{"bestmove": "e7e5"}])
     with UciEngine(command).start() as engine:
         board = rules.apply_uci(rules.Board.initial(), "e2e4")
-        assert engine_move(board, engine, GO).uci() == "e7e5"
+        assert engine_move(board, engine, *GO).uci() == "e7e5"
 
 
 def test_engine_handshake_sets_options(tmp_path):
@@ -369,16 +369,16 @@ def test_engine_illegal_bestmove_rejected(tmp_path):
     command = fake_engine(tmp_path, [{"bestmove": "a1a8"}])
     with UciEngine(command).start() as engine:
         with pytest.raises(ModelError) as exc:
-            engine_move(rules.Board.initial(), engine, GO)
+            engine_move(rules.Board.initial(), engine, *GO)
     assert exc.value.reason == "engine"
 
 
 def test_engine_crash_raises_engine_error(tmp_path):
     command = fake_engine(tmp_path, [{"bestmove": "e2e4"}], crash_after_go=1)
     with UciEngine(command).start() as engine:
-        assert engine.bestmove(rules.START_FEN, GO) == "e2e4"
+        assert engine_move(rules.Board.initial(), engine, *GO).uci() == "e2e4"
         with pytest.raises(ModelError) as exc:
-            engine.bestmove(rules.START_FEN, GO)
+            engine_move(rules.Board.initial(), engine, *GO)
     assert exc.value.reason == "engine"
 
 
@@ -401,7 +401,7 @@ def test_engine_bare_bestmove_line(tmp_path):
     command = fake_engine(tmp_path, [{"bestmove": ""}, {"score": "cp 5", "bestmove": ""}])
     with UciEngine(command).start() as engine:
         with pytest.raises(ModelError, match="bad bestmove line: 'bestmove'") as exc:
-            engine.bestmove(rules.START_FEN, GO)
+            engine_move(rules.Board.initial(), engine, *GO)
         assert exc.value.reason == "engine"
         assert engine.evaluate(rules.START_FEN, 20) == (("cp", 5), None)
 
@@ -410,7 +410,7 @@ def test_engine_bestmove_none_in_play_is_unparsable(tmp_path):
     command = fake_engine(tmp_path, [{"bestmove": "(none)"}])
     with UciEngine(command).start() as engine:
         with pytest.raises(ModelError, match=r"unparsable bestmove '\(none\)'") as exc:
-            engine_move(rules.Board.initial(), engine, GO)
+            engine_move(rules.Board.initial(), engine, *GO)
     assert exc.value.reason == "engine"
 
 
@@ -421,7 +421,7 @@ def test_engine_evaluate_without_a_score_line(tmp_path):
         with pytest.raises(ModelError, match="search returned no score for") as exc:
             engine.evaluate(rules.START_FEN, 20)
         assert exc.value.reason == "engine"
-        assert engine.bestmove(rules.START_FEN, GO) == "e2e4"  # the session is still in step
+        assert engine_move(rules.Board.initial(), engine, *GO).uci() == "e2e4"  # the session is still in step
 
 
 def test_engine_silent_in_a_search_is_killed_at_its_deadline(tmp_path, monkeypatch):
@@ -431,15 +431,18 @@ def test_engine_silent_in_a_search_is_killed_at_its_deadline(tmp_path, monkeypat
     threads = threading.enumerate()
     started = time.monotonic()
     # A search with a movetime gets that movetime plus the grace; one without gets the depth timeout.
-    for go, deadline in (("go movetime 100", r"0\.3"), ("go depth 4", r"0\.4"), ("go depth 4 movetime 100", r"0\.3")):
+    for limits, deadline in (((None, 100), r"0\.3"), ((4, None), r"0\.4"), ((4, 100), r"0\.3")):
         with UciEngine(command).start() as engine:
-            assert engine.bestmove(rules.START_FEN, go) == "e2e4"
+            assert engine_move(rules.Board.initial(), engine, *limits).uci() == "e2e4"
             with pytest.raises(ModelError, match=rf"^engine: no bestmove in {deadline} s$"):
-                engine.bestmove(rules.START_FEN, go)
+                engine_move(rules.Board.initial(), engine, *limits)
     with UciEngine(command).start() as engine:
         assert engine.evaluate(rules.START_FEN, 20) == (("cp", 5), "e2e4")
         with pytest.raises(ModelError, match=r"^engine: no bestmove in 0\.4 s$"):
             engine.evaluate(rules.START_FEN, 20)
+    received = [line for line in (tmp_path / "received.txt").read_text().splitlines() if line.startswith("go")]
+    assert received == [go for go in ("go movetime 100", "go depth 4", "go depth 4 movetime 100", "go depth 20")
+                        for _ in range(2)]
     # The fake ignores `quit` once silent, so only a kill at the deadline
     # keeps each quit() from waiting out its 5 s.
     assert time.monotonic() - started < 4

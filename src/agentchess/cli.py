@@ -327,6 +327,8 @@ def _read_games(log_paths) -> list:
 def cmd_elo(args) -> int:
     if bool(args.outcomes) == bool(args.logs):
         raise ConfigError("give either --outcomes or log files, not both or neither")
+    if args.outcomes and args.anchor:  # the CSV gives each opponent's rating itself
+        raise ConfigError("--anchor rates the engine skills in log files, not an --outcomes CSV")
     try:
         if args.outcomes:
             outcomes = elo.read_outcomes_csv(args.outcomes)
@@ -340,12 +342,11 @@ def cmd_elo(args) -> int:
                 except ValueError:
                     raise ConfigError(f"bad --anchor {pair!r}, expected SKILL=ELO") from None
             outcomes = elo.outcomes_from_records(records, anchors)
+        if not outcomes:
+            raise ConfigError("no scorable outcomes found")
+        estimate = elo.estimate_elo(outcomes, white_advantage=args.white_advantage)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not outcomes:
-        raise ConfigError("no scorable outcomes found")
-
-    estimate = elo.estimate_elo(outcomes, white_advantage=args.white_advantage)
     low, high = estimate.ci95
     print(
         f"games={len(outcomes)} rating={estimate.rating:.1f} se={estimate.standard_error:.1f} "

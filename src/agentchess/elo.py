@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 _SCALE = math.log(10.0) / 400.0
 _BRACKET_MARGIN = 400.0
+_TOLERANCE = 1e-4  # Elo; the bisection stops once its bracket is this narrow
 
 DEFAULT_WHITE_ADVANTAGE = 35.0
 
@@ -72,14 +73,15 @@ def fisher_information(rating: float, outcomes) -> float:
     return total * _SCALE * _SCALE
 
 
-def estimate_elo(outcomes, white_advantage: float = DEFAULT_WHITE_ADVANTAGE,
-                 tolerance: float = 1e-4) -> EloEstimate:
+def estimate_elo(outcomes, white_advantage: float = DEFAULT_WHITE_ADVANTAGE) -> EloEstimate:
     """Solve for the maximum-likelihood rating with a 95% confidence interval.
 
     Bisection on the score difference over [min rating - 400, max + 400],
-    to `tolerance` Elo. Without a sign change on that bracket (all wins or
+    to _TOLERANCE Elo. Without a sign change on that bracket (all wins or
     all losses) the estimate clamps to the bracket end and is flagged.
     """
+    if not math.isfinite(white_advantage):
+        raise ValueError(f"white advantage must be finite, not {white_advantage}")
     outcomes = [
         replace(o, opponent_rating=o.opponent_rating - 2.0 * white_advantage, subject_color="b")
         if o.subject_color == "w" else o
@@ -101,7 +103,7 @@ def estimate_elo(outcomes, white_advantage: float = DEFAULT_WHITE_ADVANTAGE,
         if diff_high > 0.0:
             boundary = BOUNDARY_HIGH
     else:
-        while high - low > tolerance:
+        while high - low > _TOLERANCE:
             mid = (low + high) / 2.0
             if score_diff(mid, outcomes) > 0.0:
                 low = mid

@@ -936,20 +936,39 @@ def test_elo_requires_exactly_one_source(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "csv_text, message",
+    "csv_text, flags, message",
     [
-        ("opponent_rating,score\n400,0.7\n", ":2: score must be one of"),
-        (None, "No such file"),
+        ("opponent_rating,score\n400,0.7\n", [], ":2: score must be one of"),
+        (None, [], "No such file"),
+        ("250,1\n500,0\n", ["--anchor", "3=480"], "--anchor rates the engine skills in log files"),
+        ("250,1\n500,0\n", ["--white-advantage", "nan"], "white advantage must be finite, not nan"),
+        ("250,1\n500,0\n", ["--white-advantage", "inf"], "white advantage must be finite, not inf"),
     ],
-    ids=["bad-score", "missing-csv"],
+    ids=["bad-score", "missing-csv", "anchor-ignored", "nan-white-advantage", "infinite-white-advantage"],
 )
-def test_elo_bad_outcomes_csv_is_an_error(tmp_path, capsys, csv_text, message):
+def test_elo_bad_outcomes_csv_is_an_error(tmp_path, capsys, csv_text, flags, message):
     csv_path = tmp_path / "outcomes.csv"
     if csv_text is not None:
         csv_path.write_text(csv_text)
-    assert main(["elo", "--outcomes", str(csv_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert main(["elo", "--outcomes", str(csv_path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("subject_color", ["w", "b"])
+def test_elo_non_finite_white_advantage_with_logs_is_an_error(tmp_path, capsys, subject_color):
+    engine = fake_engine_cmdline(tmp_path, [{"bestmove": "e7e5" if subject_color == "w" else "e2e4"}])
+    manifest = write_manifest(
+        tmp_path,
+        subject={"kind": "scripted", "replies": ["banana"], "name": "hopeless"},
+        opponent={"kind": "engine", "command": engine, "skills": [1]},
+        subject_color=subject_color,
+        games=1,
+    )
+    assert main(["run", "--config", str(manifest)]) == 0
+    capsys.readouterr()
+    assert main(["elo", str(tmp_path / "runs" / "games-skill-1.jsonl"), "--white-advantage", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: white advantage must be finite, not nan\n")
 
 
 def test_elo_random_opponent_logs_rejected(tmp_path, capsys):

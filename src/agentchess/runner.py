@@ -217,14 +217,28 @@ def _transcript_from_dict(data) -> PlyTranscript | None:
     return transcript
 
 
+# What a log must give the required record fields and the stats counters; a
+# text `excluded` or a `true` count would change a result without a word.
+_RECORD_TYPES = dict(config=dict, plies=list, termination=str, subject_color=str, stats=dict, excluded=bool)
+_STATS_TYPES = {f.name: int for f in fields(GameStats)}
+
+
+def _check_types(obj, types: dict) -> None:
+    for name, kind in types.items():
+        if type(getattr(obj, name)) is not kind:
+            raise TypeError(f"{name} is {type(getattr(obj, name)).__name__}, not {kind.__name__}")
+
+
 def record_from_dict(data: dict) -> GameRecord:
     record = _known_fields(GameRecord, data)
+    _check_types(record, _RECORD_TYPES)
     record.plies = [
         PlyRecord(p["mover"], p["uci"], p["fen_after"], _transcript_from_dict(p.get("transcript")))
         for p in record.plies
     ]
     record.failed_transcript = _transcript_from_dict(record.failed_transcript)
     record.stats = _known_fields(GameStats, record.stats)
+    _check_types(record.stats, _STATS_TYPES)
     return record
 
 

@@ -144,6 +144,36 @@ def test_log_record_without_a_required_key_is_a_bad_record(tmp_path, key):
     assert diagnostics == [f"{path}:1: {record}"]
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("config",), [], "config is list, not dict"),
+    (("plies",), {}, "plies is dict, not list"),
+    (("termination",), None, "termination is NoneType, not str"),
+    (("subject_color",), 1, "subject_color is int, not str"),
+    (("stats",), [], "stats is list, not dict"),
+    (("excluded",), "no", "excluded is str, not bool"),
+    (("excluded",), 0, "excluded is int, not bool"),
+    (("stats", "turns_used"), "many", "turns_used is str, not int"),
+    (("stats", "illegal_move_attempts"), True, "illegal_move_attempts is bool, not int"),
+    (("stats", "subject_dialogs"), 2.0, "subject_dialogs is float, not int"),
+], ids=["config", "plies", "termination", "subject-color", "stats", "excluded-text", "excluded-number",
+        "count-text", "count-bool", "count-float"])
+def test_log_record_with_a_value_of_the_wrong_type_is_a_bad_record(tmp_path, keys, value, message):
+    entry = record_to_entry(played_record(), "mock")
+    *parents, key = keys
+    target = entry["record"]
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    path = tmp_path / "games.jsonl"
+    append_log(path, entry)
+    append_log(path, record_to_entry(played_record(seed=1), "mock"))
+    diagnostics = []
+    (_, bad), (_, good) = read_log(path, diagnostics)
+    assert bad == f"bad record: TypeError({message!r})"
+    assert diagnostics == [f"{path}:1: {bad}"]
+    assert good.fingerprint() == played_record(seed=1).fingerprint()  # the next game keeps its place
+
+
 def test_replayed_entry_recomputes_identical_metrics(tmp_path):
     path = tmp_path / "games.jsonl"
     record = played_record()

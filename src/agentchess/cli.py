@@ -195,16 +195,9 @@ def _summary_line(cell: str, stats: reporting.AggregateStats) -> str:
 
 def cmd_run(args) -> int:
     manifest = load_manifest(args.config)
-    if args.games is not None:
-        manifest["games"] = args.games
-    if args.seed is not None:
-        manifest["seed"] = args.seed
-    if args.parallelism is not None:
-        manifest["parallelism"] = args.parallelism
-    if args.variant is not None:
-        manifest["variant"] = args.variant
-    if args.out is not None:
-        manifest["out_dir"] = args.out
+    flags = {"games": args.games, "seed": args.seed, "parallelism": args.parallelism, "variant": args.variant,
+             "out_dir": args.out}
+    manifest.update((key, value) for key, value in flags.items() if value is not None)
     if args.skill:
         opponent = manifest.get("opponent")
         if not isinstance(opponent, dict) or opponent.get("kind") != "engine":  # else it is ignored

@@ -217,8 +217,7 @@ def _transcript_from_dict(data) -> PlyTranscript | None:
     return transcript
 
 
-# What a log must give the required record fields and the stats counters; a
-# text `excluded` or a `true` count would change a result without a word.
+# Types a log must give, or a text `excluded` or a `true` count would silently change a result.
 _RECORD_TYPES = dict(config=dict, plies=list, termination=str, subject_color=str, stats=dict, excluded=bool)
 _STATS_TYPES = {f.name: int for f in fields(GameStats)}
 

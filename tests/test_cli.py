@@ -9,11 +9,12 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from agentchess import analysis, cli, players, runner
+from agentchess import analysis, cli, dialog, players, runner
 from agentchess.cli import main
 
 from conftest import FAKE_UCI
@@ -168,11 +169,15 @@ def test_run_flags_override_manifest(tmp_path, capsys):
     out_dir = tmp_path / "other"
     assert main([
         "run", "--config", str(manifest),
-        "--games", "2", "--seed", "100", "--out", str(out_dir),
+        "--games", "2", "--seed", "100", "--out", str(out_dir), "--variant", "only_make_move",
     ]) == 0
     entries = read_jsonl(out_dir / "games-random.jsonl")
     assert len(entries) == 2
     assert [e["record"]["config"]["seed"] for e in entries] == [100, 101]
+    assert entries[0]["record"]["config"]["variant"] == asdict(dialog.VARIANTS["only_make_move"])
+    capsys.readouterr()
+    assert main(["run", "--config", str(manifest), "--parallelism", "0"]) == 2
+    assert capsys.readouterr().err == "error: parallelism must be at least 1\n"
 
 
 def test_run_interrupt_keeps_completed_games(tmp_path, capsys, monkeypatch):

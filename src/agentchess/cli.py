@@ -16,7 +16,6 @@ import queue
 import shlex
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import fields, replace
 
@@ -259,37 +258,38 @@ def cmd_analyze(args) -> int:
     config = _analysis_engine(args)
     by_model: dict = {}
     failed = False
-    # Up to one log file per CPU at a time. A log borrows an idle engine from
-    # `engines` or starts one, so no more engines run than workers. Results are
-    # taken in argument order, so the output is the same as a serial run's.
-    pool = ThreadPoolExecutor(max_workers=min(len(args.logs), _usable_cpus()))
     engines = queue.SimpleQueue()
+
+    def analyze(log_path):
+        try:
+            return analysis.analyze_log(log_path, config, engines)
+        except (ModelError, OSError) as exc:
+            return exc
+
     try:
-        futures = [pool.submit(analysis.analyze_log, path, config, engines) for path in args.logs]
-        for log_path, future in zip(args.logs, futures):
-            try:
-                diagnostics, rows, collected = future.result()
-            except (ModelError, OSError) as exc:
-                print(f"error: {log_path}: {exc}", file=sys.stderr)
-                failed = True
-                continue
-            for line in diagnostics:
-                print(line, file=sys.stderr)
-            sidecar = log_path + ".analysis.jsonl"
-            tmp = sidecar + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for row in rows:
-                    handle.write(json.dumps(row) + "\n")
-            os.replace(tmp, sidecar)
-            print(f"wrote {len(rows)} analysis rows to {sidecar}", file=sys.stderr)
-            for model_id, evaluations in collected.items():
-                by_model.setdefault(model_id, []).extend(evaluations)
+        with closing(runner.in_order(analyze, args.logs, min(len(args.logs), _usable_cpus()))) as analyzed:
+            for log_path, result in zip(args.logs, analyzed):
+                if isinstance(result, Exception):
+                    print(f"error: {log_path}: {result}", file=sys.stderr)
+                    failed = True
+                    continue
+                diagnostics, rows, collected = result
+                for line in diagnostics:
+                    print(line, file=sys.stderr)
+                sidecar = log_path + ".analysis.jsonl"
+                tmp = sidecar + ".tmp"
+                with open(tmp, "w", encoding="utf-8") as handle:
+                    for row in rows:
+                        handle.write(json.dumps(row) + "\n")
+                os.replace(tmp, sidecar)
+                print(f"wrote {len(rows)} analysis rows to {sidecar}", file=sys.stderr)
+                for model_id, evaluations in collected.items():
+                    by_model.setdefault(model_id, []).extend(evaluations)
     except KeyboardInterrupt:
         print("interrupted; sidecars already written are kept", file=sys.stderr)
         return 130
     finally:
-        pool.shutdown(cancel_futures=True)  # files not yet started are dropped
-        while not engines.empty():  # every worker has put its engine back
+        while not engines.empty():  # the pool has shut down, so every engine is back
             engines.get().quit()
     for model_id, evaluations in sorted(by_model.items()):  # one summary per model, all logs
         summary = analysis.summarize_evaluations(evaluations)

@@ -341,19 +341,14 @@ def play_game(cfg: GameConfig) -> GameRecord:
     )
 
 
-def play_games(configs, parallelism: int = 1):
-    """Yield one record per config, in config order whatever the parallelism.
+def in_order(fn, items, workers: int):
+    """Yield fn(item) for each item, in item order, from `workers` threads.
 
-    Above parallelism 1, that many threads take the games in order. An
-    interrupt while waiting cancels the games not yet started, lets those in
-    flight finish, yields the gapless run of finished records, and re-raises.
+    An interrupt while waiting cancels the items not yet started, lets those
+    in flight finish, yields the gapless run of finished results, and re-raises.
     """
-    if parallelism <= 1:
-        for cfg in configs:
-            yield play_game(cfg)
-        return
-    pool = ThreadPoolExecutor(max_workers=parallelism)
-    pending = collections.deque(pool.submit(play_game, cfg) for cfg in configs)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = collections.deque(pool.submit(fn, item) for item in items)
     try:
         while pending:
             yield pending[0].result()
@@ -367,3 +362,8 @@ def play_games(configs, parallelism: int = 1):
         raise
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def play_games(configs, parallelism: int = 1):
+    """Yield one record per config, in config order, from `parallelism` threads (see in_order)."""
+    return in_order(play_game, configs, parallelism)

@@ -197,18 +197,21 @@ def test_run_interrupt_keeps_completed_games(tmp_path, capsys, monkeypatch):
     assert len(entries) == 3  # completed games survived the interrupt
 
 
-def test_run_interrupt_at_parallelism_2_writes_every_finished_game(tmp_path, capsys, monkeypatch):
-    # Ctrl-C lands while games 2 and 3 are in flight: games 4-9 never start,
-    # and 2 and 3 still finish and are written after 0 and 1.
-    manifest = write_manifest(tmp_path, games=10, parallelism=2)
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_interrupt_writes_every_game_in_flight(tmp_path, capsys, monkeypatch, parallelism):
+    # Ctrl-C lands while game 2 (and 3, at parallelism 2) is in flight: the
+    # later games never start, and those in flight still finish and are
+    # written after 0 and 1.
+    manifest = write_manifest(tmp_path, games=10, parallelism=parallelism)
     log = tmp_path / "runs" / "games-random.jsonl"
     real_play = runner.play_game
-    both_in_flight = threading.Barrier(2, timeout=30)
+    in_flight = list(range(2, 2 + parallelism))
+    all_in_flight = threading.Barrier(parallelism, timeout=30)
 
     def interrupting(cfg):
-        if cfg.seed in (2, 3):
-            both_in_flight.wait()
-            if cfg.seed == 3:
+        if cfg.seed in in_flight:
+            all_in_flight.wait()
+            if cfg.seed == in_flight[-1]:
                 deadline = time.monotonic() + 30
                 while not (log.exists() and len(log.read_text().splitlines()) == 2):
                     assert time.monotonic() < deadline
@@ -220,10 +223,10 @@ def test_run_interrupt_at_parallelism_2_writes_every_finished_game(tmp_path, cap
 
     monkeypatch.setattr(runner, "play_game", interrupting)
     assert main(["run", "--config", str(manifest)]) == 130
-    assert [e["record"]["config"]["seed"] for e in read_jsonl(log)] == [0, 1, 2, 3]
+    assert [e["record"]["config"]["seed"] for e in read_jsonl(log)] == [0, 1, *in_flight]
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"interrupted; completed games kept in {tmp_path / 'runs'}"
-    assert sum(line.startswith("game ") for line in err.splitlines()) == 4
+    assert sum(line.startswith("game ") for line in err.splitlines()) == 2 + parallelism
 
 
 def test_run_seeds_each_cell_from_the_manifest_seed(tmp_path, capsys):
@@ -824,6 +827,41 @@ def test_analyze_interrupt_keeps_sidecars_already_written(tmp_path, capsys, monk
     assert main(["analyze", *logs, "--engine", fake_engine_cmdline(tmp_path, log=str(received))]) == 130
     assert "interrupted" in capsys.readouterr().err
     assert [Path(log + ".analysis.jsonl").exists() for log in logs] == [True, False, False]
+    lines = received.read_text().splitlines()
+    assert lines.count("uci") == lines.count("quit") >= 1  # every engine started is quit
+
+
+def test_analyze_interrupt_writes_every_log_finished_or_in_flight(tmp_path, capsys, monkeypatch):
+    # Two workers. Ctrl-C lands while log 1 is in flight and log 2 has been
+    # scored, before log 3 starts: logs 1 and 2 are still written, in order.
+    logs = scripted_logs(tmp_path, capsys, (1, 1, 1, 1))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    analyze_log = analysis.analyze_log
+    log_2_scored, interrupted = threading.Event(), threading.Event()
+
+    def interrupting(log_path, *args):
+        result = analyze_log(log_path, *args)
+        if log_path == logs[1]:
+            assert log_2_scored.wait(30)
+            deadline = time.monotonic() + 30
+            while not Path(logs[0] + ".analysis.jsonl").exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.1)  # so the main thread is back waiting on log 1
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            interrupted.set()
+            time.sleep(0.3)
+        elif log_path == logs[2]:
+            log_2_scored.set()
+            assert interrupted.wait(30)
+            time.sleep(0.3)  # so log 3 is cancelled before this worker could take it
+        return result
+
+    monkeypatch.setattr(analysis, "analyze_log", interrupting)
+    received = tmp_path / "received.txt"
+    assert main(["analyze", *logs, "--engine", fake_engine_cmdline(tmp_path, log=str(received))]) == 130
+    assert capsys.readouterr().err.splitlines()[-1] == "interrupted; sidecars already written are kept"
+    assert [Path(log + ".analysis.jsonl").exists() for log in logs] == [True, True, True, False]
     lines = received.read_text().splitlines()
     assert lines.count("uci") == lines.count("quit") >= 1  # every engine started is quit
 

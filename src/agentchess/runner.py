@@ -231,6 +231,10 @@ def _check_types(obj, types: dict) -> None:
 def record_from_dict(data: dict) -> GameRecord:
     record = _known_fields(GameRecord, data)
     _check_types(record, _RECORD_TYPES)
+    if record.termination not in WIN_TERMINATIONS | DRAW_TERMINATIONS | LOSS_TERMINATIONS:
+        raise ValueError(f"unknown termination {record.termination!r}")  # else it would score as a draw
+    if record.subject_color not in (rules.WHITE, rules.BLACK):
+        raise ValueError(f"subject_color is {record.subject_color!r}, not 'w' or 'b'")
     record.plies = [
         PlyRecord(p["mover"], p["uci"], p["fen_after"], _transcript_from_dict(p.get("transcript")))
         for p in record.plies

@@ -8,6 +8,7 @@ decimal everywhere, with dot decimal separators regardless of locale.
 """
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -225,9 +226,7 @@ def emit_leaderboard(stats_by_model: dict, fmt: str = "csv") -> str:
     rows = _leaderboard_rows(stats_by_model)
     if fmt == "csv":
         out = io.StringIO()
-        out.write(",".join(LEADERBOARD_COLUMNS) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        csv.writer(out, lineterminator="\n").writerows([LEADERBOARD_COLUMNS, *rows])  # quotes a name's , and "
         return out.getvalue()
     if fmt == "markdown":
         lines = [
@@ -235,6 +234,6 @@ def emit_leaderboard(stats_by_model: dict, fmt: str = "csv") -> str:
             "|" + "|".join([" --- "] * len(LEADERBOARD_COLUMNS)) + "|",
         ]
         for row in rows:
-            lines.append("| " + " | ".join(row) + " |")
+            lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown leaderboard format {fmt!r}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -369,6 +370,18 @@ def test_leaderboard_markdown_schema():
     cells = [c.strip() for c in lines[2].strip("|").split("|")]
     assert cells[0] == "strong-model"
     assert cells[2] == "100.0"
+
+
+def test_leaderboard_quotes_a_model_name_with_separators():
+    name = 'org/model "v2", a|b'
+    stats = {name: two_model_stats()["strong-model"]}
+    rows = list(csv.DictReader(io.StringIO(emit_leaderboard(stats, "csv"))))
+    assert len(rows) == 1 and None not in rows[0] and len(rows[0]) == len(LEADERBOARD_COLUMNS)
+    assert rows[0]["model"] == name
+    row = emit_leaderboard(stats, "markdown").splitlines()[2]
+    cells = [c.strip() for c in re.split(r"(?<!\\)\|", row.strip("|"))]
+    assert len(cells) == len(LEADERBOARD_COLUMNS)
+    assert cells[0] == name.replace("|", "\\|")
 
 
 def test_leaderboard_deterministic():

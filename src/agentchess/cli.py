@@ -254,7 +254,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _refuse_repeated_logs(log_paths) -> None:
+    """One file named twice would have its games counted twice."""
+    seen = set()
+    for path in log_paths:
+        if os.path.realpath(path) in seen:
+            raise ConfigError(f"{path} is given twice")
+        seen.add(os.path.realpath(path))
+
+
 def cmd_analyze(args) -> int:
+    _refuse_repeated_logs(args.logs)
     config = _analysis_engine(args)
     by_model: dict = {}
     failed = False
@@ -322,6 +332,7 @@ def cmd_elo(args) -> int:
         raise ConfigError("give either --outcomes or log files, not both or neither")
     if args.outcomes and args.anchor:  # the CSV gives each opponent's rating itself
         raise ConfigError("--anchor rates the engine skills in log files, not an --outcomes CSV")
+    _refuse_repeated_logs(args.logs)
     try:
         if args.outcomes:
             outcomes = elo.read_outcomes_csv(args.outcomes)
@@ -364,6 +375,7 @@ def cmd_elo(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _refuse_repeated_logs(args.logs)
     games = _read_games(args.logs)
     if not games:
         raise ConfigError("no games found in the given logs")

@@ -877,6 +877,21 @@ def test_analyze_closes_engine_pipes(tmp_path, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("command", ["report", "elo", "analyze"])
+def test_a_log_named_twice_is_refused_before_it_is_read(tmp_path, capsys, command):
+    log = run_two_game_log(tmp_path)
+    again = tmp_path / "runs" / ".." / "runs" / log.name  # the same file, spelled differently
+    received = tmp_path / "received.txt"
+    flags = {"report": ["--out", str(tmp_path / "reports")], "elo": [],
+             "analyze": ["--engine", fake_engine_cmdline(tmp_path, log=str(received))]}[command]
+    capsys.readouterr()
+    assert main([command, str(log), str(again), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {again} is given twice\n")
+    assert not (tmp_path / "reports").exists()
+    assert not received.exists()  # no engine was started
+    assert not Path(str(log) + ".analysis.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # elo
 
